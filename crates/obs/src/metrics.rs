@@ -192,7 +192,9 @@ impl HistogramSnapshot {
     /// instead of snapping to a power of two. Upper-bounded by the
     /// bucket's upper bound, lower-bounded by its lower bound — it never
     /// contradicts [`HistogramSnapshot::quantile_ns`] by more than one
-    /// bucket width. `None` for an empty histogram.
+    /// bucket width — and clamped to the observed `[min_ns, max_ns]`, so
+    /// a percentile never lies outside what was measured. `None` for an
+    /// empty histogram.
     ///
     /// Use this where resolution matters more than the conservative
     /// stability of the bucket-upper-bound convention (the bench harness
@@ -209,11 +211,14 @@ impl HistogramSnapshot {
                 let lower = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
                 let width = upper_bound_ns(i) as f64 - lower;
                 let within = (rank - seen) as f64 - 0.5;
-                return Some(lower + width * (within / n as f64).clamp(0.0, 1.0));
+                let interp = lower + width * (within / n as f64).clamp(0.0, 1.0);
+                // Not `f64::clamp`: a snapshot racing a writer may see
+                // `min_ns > max_ns` for a moment, which must not panic.
+                return Some(interp.min(self.max_ns as f64).max(self.min_ns as f64));
             }
             seen += n;
         }
-        Some(upper_bound_ns(NUM_BUCKETS - 1) as f64)
+        Some(self.max_ns as f64)
     }
 
     /// Renders the histogram body fields (`count`, `total_ns`, `min_ns`,
@@ -509,21 +514,50 @@ mod tests {
         let s = h.snapshot();
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(s.quantile_ns(q), Some(128), "q={q}");
-            let interp = s.quantile_interp_ns(q).unwrap();
-            assert!((64.0..=128.0).contains(&interp), "q={q} -> {interp}");
+            // The bucket midpoint (96) lies below the only observation;
+            // the [min, max] clamp pins every quantile to the sample.
+            assert_eq!(s.quantile_interp_ns(q), Some(100.0), "q={q}");
         }
-        // Midpoint convention: one occupant sits in the bucket middle.
-        assert!((s.quantile_interp_ns(0.5).unwrap() - 96.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn interpolated_quantiles_stay_within_observed_extremes() {
+        // The committed `fleet_batch_1` bench case: five samples between
+        // 86,582,578 and 88,040,359 ns, all in bucket 26 ([2^26, 2^27)).
+        // Bucket interpolation alone reports p50 = 100,663,296 ns — above
+        // every sample — and p95 = 127,506,842 ns.
+        let h = Histogram::default();
+        for ns in [86_582_578, 87_900_000, 87_990_000, 88_033_973, 88_040_359] {
+            h.record_ns(ns);
+        }
+        let s = h.snapshot();
+        assert_eq!((s.min_ns, s.max_ns), (86_582_578, 88_040_359));
+        for q in [0.0, 0.05, 0.5, 0.95, 0.99, 1.0] {
+            let v = s.quantile_interp_ns(q).unwrap();
+            assert!(
+                (s.min_ns as f64..=s.max_ns as f64).contains(&v),
+                "q={q}: {v} outside [{}, {}]",
+                s.min_ns,
+                s.max_ns
+            );
+        }
+        assert_ne!(s.quantile_interp_ns(0.5), Some(100_663_296.0));
+        // The same holds for the rendered fields the bench and `stats` read.
+        let v = json::parse(&s.to_json()).unwrap();
+        for field in ["p50_ns", "p95_ns", "p99_ns"] {
+            let p = v.get(field).unwrap().as_f64().unwrap();
+            assert!(p <= s.max_ns as f64 && p >= s.min_ns as f64, "{field} = {p}");
+        }
     }
 
     #[test]
     fn interpolated_quantiles_resolve_below_bucket_granularity() {
-        // 20 identical-bucket observations (the bench-harness shape): the
+        // 20 observations in one bucket (the bench-harness shape): the
         // upper-bound convention collapses every quantile to 131072, the
-        // interpolated one spreads ranks across [65536, 131072).
+        // interpolated one spreads ranks across the observed range.
         let h = Histogram::default();
-        for _ in 0..20 {
-            h.record_ns(100_000); // bucket 16: [65536, 131072)
+        for i in 0..20 {
+            h.record_ns(66_000 + i * 3_000); // bucket 16: [65536, 131072)
         }
         let s = h.snapshot();
         assert_eq!(s.quantile_ns(0.50), Some(131_072));
@@ -533,6 +567,9 @@ mod tests {
         assert!(p95 > p50 && p95 < 131_072.0, "{p95}");
         // rank 10 of 20 -> lower + (9.5/20) * width.
         assert!((p50 - (65_536.0 + 65_536.0 * 9.5 / 20.0)).abs() < 1e-6, "{p50}");
+        // rank 19 interpolates past the largest sample; the clamp holds
+        // it at the observed maximum.
+        assert_eq!(p95, 123_000.0);
         // Interpolation stays within one bucket of the conservative answer
         // and respects bucket 0's zero lower bound.
         let h0 = Histogram::default();
@@ -556,9 +593,9 @@ mod tests {
         assert_eq!(h.get("min_ns").unwrap().as_u64(), Some(40_000));
         assert_eq!(h.get("max_ns").unwrap().as_u64(), Some(40_000));
         assert_eq!(h.get("buckets").unwrap().as_array().unwrap().len(), NUM_BUCKETS);
-        // 40 µs = 40000 ns -> bucket 15 ([32768, 65536)); one occupant
-        // interpolates to the bucket midpoint.
-        assert_eq!(h.get("p50_ns").unwrap().as_f64(), Some(49152.0));
+        // 40 µs = 40000 ns -> bucket 15 ([32768, 65536)); the bucket
+        // midpoint (49152) is clamped to the one observation.
+        assert_eq!(h.get("p50_ns").unwrap().as_f64(), Some(40_000.0));
     }
 
     #[test]

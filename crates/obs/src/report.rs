@@ -5,7 +5,7 @@
 //! layer every consumer shares: the engine embeds the rows in a `budget`
 //! job-result line, and the CLI / CI render either the canonical
 //! [`BudgetReport::to_json_line`] (machine diffable — byte-identical
-//! across local, static-shard, and fleet execution) or the ranked
+//! across local and fleet execution) or the ranked
 //! [`BudgetReport::to_text`] table with top-K rows and cumulative share.
 //!
 //! The crate stays dependency-free: the report is plain data, built

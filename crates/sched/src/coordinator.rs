@@ -2,8 +2,8 @@
 //! dispatch against the shared [`queue`](crate::queue), and the in-order
 //! merge that keeps fleet output bit-identical to a single-process run.
 //!
-//! Per daemon, two threads share one TCP connection driven in the serve
-//! protocol's `evaluate_units` mode:
+//! Per daemon, two threads share one TCP connection carrying the serve
+//! protocol's job stream (opened by an `evaluate_units` line):
 //!
 //! * the **sender** pulls units from the queue (own deque, then steals)
 //!   whenever the daemon's in-flight window has room, and half-closes the

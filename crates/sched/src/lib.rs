@@ -4,10 +4,10 @@
 //! the scheduling layer that turns a set of heterogeneous `psdacc-serve`
 //! daemons into one machine.
 //!
-//! The static sharding of `psdacc-serve submit` (job `i` to daemon
-//! `i % n`) is only as fast as its slowest daemon: one cold cache, one
-//! loaded box, one slow CPU gates the whole batch. This crate replaces it
-//! with **pull-based work stealing** at fleet scale:
+//! Static sharding (job `i` to daemon `i % n`) is only as fast as its
+//! slowest daemon: one cold cache, one loaded box, one slow CPU gates the
+//! whole batch. This crate is the one client that dispatches work to
+//! daemons, and it does so by **pull-based work stealing** at fleet scale:
 //!
 //! * a batch spec decomposes into [`psdacc_engine::WorkUnit`]s through the
 //!   engine's one shared expansion path, so unit ids *are* submission

@@ -3,15 +3,19 @@
 //! engine run — including under deliberate skew (one daemon slowed by
 //! injected per-unit delay) and under failure (one daemon killed
 //! mid-batch) — with steal / re-dispatch counters proving the dynamic
-//! behavior actually happened.
+//! behavior actually happened. Daemons over a persistent store must
+//! warm-restart with zero preprocessing builds.
 
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use psdacc_engine::json::{self, Json};
-use psdacc_engine::{BatchSpec, Engine};
+use psdacc_engine::{BatchSpec, Engine, JobSpec};
 use psdacc_obs::{EventKind, TraceEvent};
-use psdacc_sched::{fetch_fleet_trace, run_fleet, FleetConfig};
+use psdacc_sched::{fetch_fleet_trace, run_fleet, FleetConfig, FleetOutcome};
 use psdacc_serve::{client, Server, ServerConfig, ServerHandle};
+use psdacc_store::PersistentCache;
 
 /// Two scenario families x a bits sweep, plus refinement, budget
 /// attribution, and simulation jobs — enough units for stealing to be
@@ -27,8 +31,59 @@ const SPEC: &str = "scenario fir-cascade stages=1 taps=9 cutoff=0.3\n\
                     budget npsd=64 bits=8\n\
                     simulate npsd=64 bits=8 samples=1024 nfft=32 seed=11 trials=1\n";
 
+/// Three scenario families x estimates (two methods), refinement,
+/// min-uniform, budget, and a small seeded simulation — every protocol
+/// job kind.
+const STORE_SPEC: &str = "scenario fir-cascade stages=2 taps=15 cutoff=0.2\n\
+                          scenario freq-filter\n\
+                          scenario dwt-pipeline levels=1\n\
+                          batch npsd=128 bits=8..11 methods=psd,flat\n\
+                          refine npsd=128 budget=1e-6 start=14 min=4\n\
+                          min-uniform npsd=128 budget=1e-6 min=2 max=24\n\
+                          budget npsd=128 bits=9\n\
+                          simulate npsd=128 bits=10 samples=4096 nfft=64 seed=11 trials=1\n";
+
+/// Distinct `(scenario, npsd)` keys in [`STORE_SPEC`].
+const STORE_SPEC_KEYS: u64 = 3;
+
 fn spawn_daemon(threads: usize, config: ServerConfig) -> ServerHandle {
     Server::bind_with("127.0.0.1:0", Engine::new(threads), config).unwrap().spawn().unwrap()
+}
+
+fn spawn_store_daemon(dir: &Path, threads: usize) -> ServerHandle {
+    let cache = Arc::new(PersistentCache::open(dir).unwrap());
+    Server::bind("127.0.0.1:0", Engine::with_shared_cache(threads, cache)).unwrap().spawn().unwrap()
+}
+
+/// A fresh per-process scratch directory for a daemon store.
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("psdacc-fleet-it-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Runs `jobs` across `daemons` and requires every unit to succeed.
+fn run_ok(daemons: &[String], jobs: &[JobSpec], config: &FleetConfig) -> FleetOutcome {
+    let outcome = run_fleet(daemons, jobs, config, |_| {}).unwrap();
+    assert_eq!(outcome.stats.failed, 0, "{:?}", outcome.stats);
+    outcome
+}
+
+/// One numeric field of a daemon's `stats` reply.
+fn daemon_stat(addr: &str, field: &str) -> u64 {
+    let stats = client::request_control(addr, "stats").unwrap();
+    json::parse(&stats)
+        .unwrap()
+        .get(field)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no `{field}` in {stats}"))
+}
+
+fn assert_bit_identical(got: &[String], want: &[String]) {
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(stable_fields(g), stable_fields(w), "\n got: {g}\nwant: {w}");
+    }
 }
 
 /// A result line minus its run-dependent fields (timings, cache hit flag):
@@ -441,11 +496,26 @@ fn defined_graph_scenario_runs_bit_identically_across_the_fleet() {
     // Dynamic-scenario rows really flowed through the fleet, keyed by hash.
     let dynamic_rows = outcome.lines.iter().filter(|l| l.contains(&defined.key())).count();
     assert_eq!(dynamic_rows, 9, "8 bits points + 1 simulate on the defined graph");
-    // Both daemons registered the definition during the handshake.
+    // Both daemons registered the definition during the handshake, and
+    // it is observable via `stats` / `scenarios` / `describe`.
     for addr in &daemons {
         let stats = client::request_control(addr, "stats").unwrap();
         let v = json::parse(&stats).unwrap();
         assert_eq!(v.get("dynamic_scenarios").unwrap().as_u64(), Some(1), "{stats}");
+        assert_eq!(
+            v.get("protocol").unwrap().as_u64(),
+            Some(psdacc_serve::PROTOCOL_REVISION as u64),
+            "{stats}"
+        );
+        let scenarios = client::request_control(addr, "scenarios").unwrap();
+        let v = json::parse(&scenarios).unwrap();
+        assert_eq!(v.get("dynamic").unwrap().as_u64(), Some(1), "{scenarios}");
+        assert!(scenarios.contains("fleet-codec"), "{scenarios}");
+        let describe = client::request_control(addr, "describe").unwrap();
+        let v = json::parse(&describe).unwrap();
+        assert_eq!(v.get("kind").unwrap().as_str(), Some("describe"));
+        // 9 builtin + 3 estim + 1 dynamic.
+        assert_eq!(v.get("count").unwrap().as_u64(), Some(13), "{describe}");
     }
 
     // Without the forwarded definition the fleet fails fast, naming the
@@ -469,24 +539,44 @@ fn daemons2_without_defs() -> Vec<String> {
     vec![addr]
 }
 
-/// The measured-signal fleet shape (PR 10): estim-family scenarios carry
-/// no state beyond their spec line — each daemon re-records the seeded
-/// trace and re-estimates its spectrum locally — so a skewed
+/// The measured-signal fleet shape: estim-family scenarios carry no state
+/// beyond their spec line — each daemon re-records the seeded trace and
+/// re-estimates its spectrum locally — and a `GraphSpec` carrying inline
+/// recorded samples ships whole in the handshake definition, so a skewed
 /// work-stealing fleet must still merge bit-identically to the local
 /// engine. This is the strongest determinism claim in the estimation
 /// pipeline: one non-reproducible FFT butterfly or RNG draw anywhere
 /// breaks the byte-for-byte comparison.
 #[test]
 fn measured_source_fleet_is_bit_identical_under_work_stealing() {
-    let spec_text = "scenario measured-welch samples=1024 nfft=128 seed=21\n\
+    // A short recorded trace inlined in the graph (the canonical wire
+    // form — `trace` references are resolved client-side before this).
+    let mut gen = psdacc_dsp::SignalGenerator::new(4242);
+    let samples: Vec<String> = gen.ar1(512, 0.8, 0.02).iter().map(|s| format!("{s:e}")).collect();
+    let graph = format!(
+        r#"{{"nodes":[{{"name":"x","block":"input"}},
+            {{"name":"m","block":"measured","samples":[{}],"nfft":64}},
+            {{"name":"s","block":"add","inputs":["x","m"]}},
+            {{"name":"lp","block":"fir","taps":[0.3,0.4,0.3],"inputs":["s"]}}],
+            "outputs":["lp"]}}"#,
+        samples.join(",")
+    );
+    let registry = psdacc_engine::ScenarioRegistry::new();
+    let defined = registry.define_graph_json("recorded-rig", &graph).unwrap();
+    let spec_text = "scenario recorded-rig\n\
+                     scenario measured-welch samples=1024 nfft=128 seed=21\n\
                      scenario measured-welch samples=2048 nfft=64 seed=21 window=kaiser beta=8.6\n\
                      scenario cross-spectrum samples=2048 nfft=64 snr=10\n\
                      scenario sigma-delta order=1..2 osr=8 samples=4096 nfft=256\n\
                      batch npsd=64 bits=8..11 methods=psd rounding=nearest\n\
                      budget npsd=64 bits=9 rounding=nearest\n";
-    let spec = BatchSpec::parse(spec_text).unwrap();
+    let spec = BatchSpec::parse_with(spec_text, &registry).unwrap();
     let expected = expected_lines(&spec);
-    assert_eq!(expected.len(), 25, "5 scenarios x (4 bits + 1 budget)");
+    assert_eq!(expected.len(), 30, "6 scenarios x (4 bits + 1 budget)");
+    let config = FleetConfig {
+        definitions: vec![("recorded-rig".to_string(), defined.canonical_json().to_string())],
+        ..FleetConfig::default()
+    };
 
     let slow = spawn_daemon(
         1,
@@ -494,13 +584,16 @@ fn measured_source_fleet_is_bit_identical_under_work_stealing() {
     );
     let fast = spawn_daemon(2, ServerConfig::default());
     let daemons = vec![slow.addr().to_string(), fast.addr().to_string()];
-    let outcome = run_fleet(&daemons, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
+    let outcome = run_fleet(&daemons, &spec.jobs(), &config, |_| {}).unwrap();
 
     assert_eq!(outcome.lines.len(), expected.len());
     assert_eq!(outcome.stats.failed, 0);
     for (got, want) in outcome.lines.iter().zip(&expected) {
         assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
     }
+    // The recorded graph's rows carry its content-hash key.
+    let recorded_rows = outcome.lines.iter().filter(|l| l.contains(&defined.key())).count();
+    assert_eq!(recorded_rows, 5, "4 bits + 1 budget on the recorded graph");
     // Both daemons actually evaluated measured scenarios (the estimation
     // ran on both sides, not just one).
     assert!(
@@ -511,8 +604,163 @@ fn measured_source_fleet_is_bit_identical_under_work_stealing() {
     // The measured budget rows survive the wire and the merge.
     let budget_lines: Vec<&String> =
         outcome.lines.iter().filter(|l| l.contains("\"kind\":\"budget\"")).collect();
-    assert_eq!(budget_lines.len(), 5);
+    assert_eq!(budget_lines.len(), 6);
     assert!(budget_lines.iter().all(|l| l.contains("\"role\":\"measured\"")));
     slow.shutdown();
     fast.shutdown();
+}
+
+/// The persistence acceptance shape: a cold daemon builds and persists;
+/// a fresh daemon on the same store serves the same batch through the
+/// coordinator with **zero** preprocessing builds, bit-identically to
+/// the cold run and to the local engine.
+#[test]
+fn warm_daemon_restart_serves_with_zero_builds() {
+    let dir = tmp_dir("warm");
+    let spec = BatchSpec::parse(STORE_SPEC).unwrap();
+    let expected = expected_lines(&spec);
+
+    let cold = spawn_store_daemon(&dir, 3);
+    let cold_addr = vec![cold.addr().to_string()];
+    let cold_outcome = run_ok(&cold_addr, &spec.jobs(), &FleetConfig::default());
+    assert_eq!(daemon_stat(&cold_addr[0], "cache_builds"), STORE_SPEC_KEYS);
+    assert_eq!(daemon_stat(&cold_addr[0], "disk_writes"), STORE_SPEC_KEYS);
+    assert_eq!(daemon_stat(&cold_addr[0], "disk_hits"), 0);
+    cold.shutdown();
+
+    // "Restart": a brand-new daemon process state over the same directory.
+    let warm = spawn_store_daemon(&dir, 3);
+    let warm_addr = vec![warm.addr().to_string()];
+    let warm_outcome = run_ok(&warm_addr, &spec.jobs(), &FleetConfig::default());
+    assert_eq!(daemon_stat(&warm_addr[0], "cache_builds"), 0, "warm start must not preprocess");
+    assert_eq!(daemon_stat(&warm_addr[0], "disk_hits"), STORE_SPEC_KEYS);
+    warm.shutdown();
+
+    assert_bit_identical(&cold_outcome.lines, &expected);
+    assert_bit_identical(&warm_outcome.lines, &cold_outcome.lines);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The multirate acceptance shape: decimated-DWT scenario families flow
+/// through the wire protocol, the persistent store, and a 2-daemon fleet
+/// with zero protocol changes — fleet output bit-identical to the
+/// single-process engine, and a warm restart on the same store performs
+/// zero preprocessing (kernel) builds.
+#[test]
+fn decimated_dwt_batch_shards_and_persists_bit_identically() {
+    // Analytic estimates, a refinement, and a seeded Monte-Carlo run over
+    // both decimated families (npsd divisible by 2^levels throughout).
+    let spec_text = "scenario dwt-decimated levels=1..2\n\
+                     scenario dwt-packet depth=1\n\
+                     batch npsd=64 bits=8..10 methods=psd,agnostic\n\
+                     min-uniform npsd=64 budget=1e-5 min=2 max=24\n\
+                     simulate npsd=64 bits=8 samples=2048 nfft=32 seed=5 trials=1\n";
+    let spec = BatchSpec::parse(spec_text).unwrap();
+    let keys = 3; // dwt-decimated[1], dwt-decimated[2], dwt-packet[1]
+    let expected = expected_lines(&spec);
+
+    let dir = tmp_dir("decimated");
+    let a = spawn_store_daemon(&dir, 2);
+    let b = spawn_store_daemon(&dir, 2);
+    let daemons = vec![a.addr().to_string(), b.addr().to_string()];
+    let outcome = run_ok(&daemons, &spec.jobs(), &FleetConfig::default());
+    assert_bit_identical(&outcome.lines, &expected);
+    a.shutdown();
+    b.shutdown();
+
+    // Warm restart over the shared store: multirate kernels load from
+    // disk, zero preprocessing builds, bit-identical results again.
+    let warm = spawn_store_daemon(&dir, 2);
+    let warm_addr = vec![warm.addr().to_string()];
+    let warm_outcome = run_ok(&warm_addr, &spec.jobs(), &FleetConfig::default());
+    let stats = client::request_control(&warm_addr[0], "stats").unwrap();
+    let v = json::parse(&stats).unwrap();
+    assert_eq!(v.get("cache_builds").unwrap().as_u64(), Some(0), "warm start: {stats}");
+    assert_eq!(v.get("disk_hits").unwrap().as_u64(), Some(keys), "{stats}");
+    // The richer stats surface the per-scenario counters.
+    let per = v.get("scenario_cache").unwrap().as_array().unwrap();
+    assert_eq!(per.len() as u64, keys, "{stats}");
+    assert!(per
+        .iter()
+        .any(|e| e.get("scenario").and_then(Json::as_str) == Some("dwt-decimated[levels=2]")));
+    warm.shutdown();
+    assert_bit_identical(&warm_outcome.lines, &expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After a served batch the daemon's `stats` reply carries per-verb
+/// log-bucketed latency histograms with non-zero counts for every verb
+/// the batch used, and every derived percentile lies within the exact
+/// observed extremes.
+#[test]
+fn stats_reply_carries_latency_histograms() {
+    let daemon = spawn_daemon(2, ServerConfig::default());
+    let addr = daemon.addr().to_string();
+    let spec = BatchSpec::parse(STORE_SPEC).unwrap();
+    run_ok(std::slice::from_ref(&addr), &spec.jobs(), &FleetConfig::default());
+    let stats = client::request_control(&addr, "stats").unwrap();
+    let v = json::parse(&stats).unwrap();
+    let latency = v.get("latency").unwrap().as_array().unwrap();
+    assert_eq!(latency.len(), 5, "{stats}");
+    for verb in ["evaluate", "greedy", "min-uniform", "budget", "simulate"] {
+        let entry = latency
+            .iter()
+            .find(|e| e.get("verb").and_then(Json::as_str) == Some(verb))
+            .unwrap_or_else(|| panic!("verb {verb} missing: {stats}"));
+        assert!(entry.get("count").unwrap().as_u64().unwrap() > 0, "verb {verb} unused: {stats}");
+        let buckets = entry.get("buckets").unwrap().as_array().unwrap();
+        assert_eq!(buckets.len(), psdacc_obs::NUM_BUCKETS);
+        // Exact extremes ride along with the bucketed percentiles and
+        // bracket each other — and the percentiles — for a used verb.
+        let min = entry.get("min_ns").unwrap().as_u64().unwrap();
+        let max = entry.get("max_ns").unwrap().as_u64().unwrap();
+        assert!(min > 0 && min <= max, "verb {verb} extremes: {stats}");
+        for field in ["p50_ns", "p95_ns", "p99_ns"] {
+            let p = entry.get(field).unwrap().as_f64().unwrap();
+            assert!(p >= min as f64 && p <= max as f64, "verb {verb} {field}: {stats}");
+        }
+        let total: u64 = buckets.iter().map(|b| b.as_u64().unwrap()).sum();
+        assert_eq!(total, entry.get("count").unwrap().as_u64().unwrap(), "{stats}");
+    }
+    daemon.shutdown();
+}
+
+/// Dynamic scenarios persist like builtins: a daemon restart over the same
+/// store serves a re-defined identical graph (forwarded again in the
+/// coordinator's handshake) with zero preprocessing builds — the content
+/// hash is the disk address.
+#[test]
+fn defined_graph_scenario_warm_restarts_from_the_store() {
+    const GRAPH: &str = r#"{"nodes":[{"name":"x","block":"input"},
+        {"name":"f","block":"iir","b":[0.2],"a":[1.0,-0.6],"inputs":["x"]}],
+        "outputs":["f"]}"#;
+    let dir = tmp_dir("dynwarm");
+    let registry = psdacc_engine::ScenarioRegistry::new();
+    let defined = registry.define_graph_json("warm-codec", GRAPH).unwrap();
+    let spec = BatchSpec::parse_with(
+        "scenario warm-codec\nbatch npsd=64 bits=8..12 methods=psd\n",
+        &registry,
+    )
+    .unwrap();
+    let config = FleetConfig {
+        definitions: vec![("warm-codec".to_string(), defined.canonical_json().to_string())],
+        ..FleetConfig::default()
+    };
+
+    let cold = spawn_store_daemon(&dir, 2);
+    let cold_addr = vec![cold.addr().to_string()];
+    let cold_outcome = run_ok(&cold_addr, &spec.jobs(), &config);
+    assert_eq!(daemon_stat(&cold_addr[0], "cache_builds"), 1);
+    assert_eq!(daemon_stat(&cold_addr[0], "disk_writes"), 1);
+    cold.shutdown();
+
+    let warm = spawn_store_daemon(&dir, 2);
+    let warm_addr = vec![warm.addr().to_string()];
+    let warm_outcome = run_ok(&warm_addr, &spec.jobs(), &config);
+    assert_eq!(daemon_stat(&warm_addr[0], "cache_builds"), 0, "re-defined identical graph");
+    assert_eq!(daemon_stat(&warm_addr[0], "disk_hits"), 1);
+    warm.shutdown();
+    assert_bit_identical(&cold_outcome.lines, &expected_lines(&spec));
+    assert_bit_identical(&warm_outcome.lines, &cold_outcome.lines);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,8 @@
 //! # psdacc-serve
 //!
-//! The workspace's first cross-process scaling path: a std-only TCP
+//! The workspace's cross-process evaluation service: a std-only TCP
 //! daemon exposing the batch-evaluation engine over a newline-delimited
-//! JSON protocol, plus the sharding client that fans a batch spec across
-//! several daemons and merges the streamed results back in order.
+//! JSON protocol.
 //!
 //! The paper's `tau_pp`/`tau_eval` economics want a **service**, not a
 //! one-shot CLI: precision decisions get re-queried continuously (dynamic
@@ -15,19 +14,17 @@
 //! ```text
 //! psdacc-serve daemon --addr 127.0.0.1:7341 --store /var/cache/psdacc &
 //! psdacc-serve daemon --addr 127.0.0.1:7342 --store /var/cache/psdacc &
-//! psdacc-serve submit --workers 127.0.0.1:7341,127.0.0.1:7342 batch.spec
+//! psdacc-sched submit --daemons 127.0.0.1:7341,127.0.0.1:7342 batch.spec
 //! ```
 //!
-//! `submit` expands the spec locally, round-robins jobs across the
-//! workers tagged with their submission index, and re-merges the streams,
-//! producing result lines identical to a local `psdacc-engine run` of the
-//! same spec (timing fields aside). For *dynamic* dispatch — per-daemon
-//! in-flight windows, work stealing, failure re-dispatch — the
-//! `psdacc-sched` coordinator drives the daemon's `evaluate_units` mode
-//! instead. See [`protocol`] for the wire format, [`server`] for
-//! connection semantics (including `ServerConfig` limits and chaos
-//! fault-injection), [`client`] for the sharding merge, [`latency`] for
-//! the per-verb histograms in `stats`.
+//! Batches reach daemons through the `psdacc-sched` coordinator, which
+//! streams units over one connection per daemon (per-daemon in-flight
+//! windows, work stealing, failure re-dispatch) and merges the results
+//! into output identical to a local `psdacc-engine run` of the same spec
+//! (timing fields aside). See [`protocol`] for the wire format, [`server`]
+//! for connection semantics (including `ServerConfig` limits and chaos
+//! fault-injection), [`client`] for connection and control helpers,
+//! [`latency`] for the per-verb histograms in `stats`.
 
 pub mod client;
 pub mod error;
@@ -36,12 +33,11 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{
-    connect, connect_with_timeout, define_scenarios, request_control, submit, submit_streaming,
-    wait_all_ready, wait_ready, ScenarioDefinition, ShardOutcome, CONNECT_TIMEOUT,
+    connect, connect_with_timeout, request_control, wait_all_ready, wait_ready, CONNECT_TIMEOUT,
 };
 pub use error::ServeError;
 pub use protocol::{
     define_request_line, evaluate_units_line, job_request_line, parse_define_ack, parse_request,
-    parse_trace_reply, result_line, trace_request_line, Request, TraceContext,
+    parse_trace_reply, result_line, trace_request_line, Request, ScenarioDefinition, TraceContext,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, PROTOCOL_REVISION};

@@ -1,8 +1,8 @@
 //! The newline-delimited JSON wire protocol.
 //!
 //! Every request and response is one JSON object per line. A client
-//! connection writes requests, half-closes its write side, and reads
-//! responses until EOF. Request kinds:
+//! connection writes requests, half-closes its write side when done, and
+//! reads responses until EOF. Request kinds:
 //!
 //! ```text
 //! {"kind":"evaluate","scenario":"fir-bank index=3","npsd":256,
@@ -25,7 +25,7 @@
 //! `scenario` is the engine's spec-line syntax (`name key=value ...` for a
 //! registered family — builtin or `define_scenario`-registered — or
 //! `graph={...}` with an inline `GraphSpec`). `id` tags the response
-//! (`"job"` field) so a sharding client can merge streams back into
+//! (`"job"` field) so the coordinator can merge streams back into
 //! submission order; when omitted, the daemon numbers requests per
 //! connection. `seed` may be a JSON number or a string (a string preserves
 //! full `u64` range; JSON numbers are doubles).
@@ -39,19 +39,18 @@
 //! on every cache key and store address without coordination.
 //!
 //! Control kinds (`scenarios`, `describe`, `stats`, `hello`,
-//! `define_scenario`) are answered immediately. Job kinds are queued and
-//! executed as **one engine batch** when the client half-closes, so a
-//! connection's jobs share the work-stealing pool and stream back in
-//! completion order, followed by one `{"kind":"summary"}` line.
+//! `define_scenario`) are answered immediately. Job kinds **stream**: each
+//! job request executes as soon as it arrives, up to the daemon's worker
+//! count concurrently, with its result written back the moment it
+//! completes (in completion order, tagged with its id). The `psdacc-sched`
+//! coordinator relies on this to keep a bounded in-flight window per
+//! daemon and refill it on every completion. After the client half-closes,
+//! the outstanding jobs drain and one
+//! `{"kind":"summary","mode":"units","jobs":N,"failed":F}` line ends the
+//! stream.
 //!
-//! `evaluate_units` (sent before any job request) switches the connection
-//! into **unit-streaming mode** instead: each job request executes as soon
-//! as it arrives, up to the daemon's worker count concurrently, with its
-//! result written back the moment it completes. The `psdacc-sched`
-//! coordinator drives this mode to keep a bounded in-flight window per
-//! daemon and refill it on every completion.
-//!
-//! The optional `trace` object on `evaluate_units` (protocol revision 4)
+//! `evaluate_units` is an optional opening line before the first job
+//! request. Its `trace` object (protocol revision 4)
 //! carries the coordinator's trace context: `batch` names the fleet batch
 //! and `span` is the 16-hex-digit coordinator root span. The daemon then
 //! records per-unit spans parented under that root and retains them until
@@ -147,12 +146,9 @@ pub enum Request {
     Metrics,
     /// Advertise daemon capacity (worker count, protocol revision).
     Hello,
-    /// Switch the connection into unit-streaming mode: subsequent job
-    /// requests execute as they arrive (up to the daemon's worker count
-    /// concurrently) and results stream back the moment each completes —
-    /// the mode the `psdacc-sched` coordinator drives. The optional
-    /// trace context makes the daemon record per-unit spans for the
-    /// named batch.
+    /// Open a job stream (the `psdacc-sched` coordinator's opening line).
+    /// The optional trace context, sent before the first job request,
+    /// makes the daemon record per-unit spans for the named batch.
     EvaluateUnits {
         /// Coordinator trace context, when the fleet run traces.
         trace: Option<TraceContext>,
@@ -387,7 +383,7 @@ fn opt_seed(value: &Json) -> Result<u64, String> {
 }
 
 /// Renders a [`JobSpec`] as the request line the daemon will parse back
-/// into an identical spec — the client side of the shard protocol.
+/// into an identical spec — the client side of the job stream.
 ///
 /// # Errors
 ///
@@ -469,6 +465,10 @@ pub fn result_line(id: usize, result: &JobResult) -> String {
     tagged.job = id;
     tagged.to_json_line()
 }
+
+/// One named graph definition to forward to daemons: `(name, canonical
+/// GraphSpec JSON)`.
+pub type ScenarioDefinition = (String, String);
 
 /// Renders the `define_scenario` request line for a named graph
 /// definition (`graph_json` must be a valid `GraphSpec` document —

@@ -1,8 +1,8 @@
-//! The TCP daemon: accept loop, per-connection protocol driver (batch and
-//! unit-streaming modes), and the graceful-shutdown handle used by tests
-//! and the CLI.
+//! The TCP daemon: accept loop, the per-connection protocol handler (one
+//! reader loop answering control requests and streaming job units), and
+//! the graceful-shutdown handle used by tests and the CLI.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -16,7 +16,7 @@ use psdacc_sfg::GraphSpec;
 
 use crate::error::ServeError;
 use crate::latency::LatencyRegistry;
-use crate::protocol::{parse_request, read_capped_line, result_line, Request, TraceContext};
+use crate::protocol::{parse_request, read_capped_line, result_line, Request};
 
 /// Revision of the wire protocol this daemon speaks (`hello` advertises
 /// it; revision 2 added `hello` / `evaluate_units`, revision 3 added
@@ -38,8 +38,8 @@ pub struct ServerConfig {
     /// immediately — explicit backpressure instead of an unbounded thread
     /// pile-up. `None` = unlimited.
     pub max_connections: Option<usize>,
-    /// Fault injection: artificial delay before every unit executed in
-    /// unit-streaming mode. Models a slow/overloaded machine so schedulers
+    /// Fault injection: artificial delay before every job unit the daemon
+    /// executes. Models a slow/overloaded machine so schedulers
     /// and CI can prove work actually re-routes around stragglers.
     pub chaos_unit_delay: Duration,
     /// Fault injection: after this many units served (daemon lifetime
@@ -164,7 +164,7 @@ impl ServerState {
     }
 
     /// Registers a graph definition and renders the acknowledgement (or
-    /// rejection) line — shared by both connection modes.
+    /// rejection) line.
     fn define_scenario_line(&self, lineno: usize, name: &str, spec: GraphSpec) -> String {
         match self.registry.define_graph(name, spec) {
             Ok(defined) => {
@@ -301,8 +301,8 @@ impl Server {
 
     /// Serves until the shutdown flag is raised (never, unless a
     /// [`ServerHandle`] exists). Connection handlers run on their own
-    /// threads; each connection's jobs run as one engine batch (or stream
-    /// unit-by-unit in `evaluate_units` mode). Connections beyond
+    /// threads; each connection's jobs stream unit by unit, results
+    /// written back as they complete. Connections beyond
     /// `max_connections` are refused with one error line.
     pub fn run(&self) {
         for stream in self.listener.incoming() {
@@ -381,107 +381,7 @@ fn refuse_connection(mut stream: TcpStream, max: usize) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Drives one connection: control requests answered immediately, job
-/// requests collected until the client half-closes, then executed as one
-/// batch with results streamed back in completion order. A leading
-/// `evaluate_units` request switches to unit-streaming mode instead.
-fn handle_connection(state: &ServerState, stream: &TcpStream) -> Result<(), ServeError> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    let mut ids: Vec<usize> = Vec::new();
-    let mut lineno = 0usize;
-    while let Some(line) = read_capped_line(&mut reader)? {
-        lineno += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(line.trim_end(), jobs.len(), &state.registry) {
-            Ok(Request::Job { id, spec }) => {
-                ids.push(id);
-                jobs.push(spec);
-            }
-            Ok(Request::Scenarios) => {
-                writeln!(writer, "{}", state.registry.scenarios_json_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::Describe { family }) => {
-                writeln!(writer, "{}", state.describe_line(lineno, family.as_deref()))?;
-                writer.flush()?;
-            }
-            Ok(Request::DefineScenario { name, spec }) => {
-                writeln!(writer, "{}", state.define_scenario_line(lineno, &name, spec))?;
-                writer.flush()?;
-            }
-            Ok(Request::Stats) => {
-                writeln!(writer, "{}", state.stats_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::Metrics) => {
-                writeln!(writer, "{}", state.metrics_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::Trace { batch }) => {
-                writeln!(writer, "{}", state.trace_line(lineno, &batch))?;
-                writer.flush()?;
-            }
-            Ok(Request::Hello) => {
-                writeln!(writer, "{}", state.hello_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::EvaluateUnits { trace }) => {
-                if jobs.is_empty() {
-                    writer.flush()?;
-                    drop(writer);
-                    return handle_unit_mode(state, &mut reader, stream, trace);
-                }
-                write_error_line(&mut writer, lineno, "evaluate_units must precede job requests")?;
-            }
-            Err(e) => write_error_line(&mut writer, lineno, &e)?,
-        }
-    }
-    if jobs.is_empty() {
-        return writer.flush().map_err(ServeError::from);
-    }
-    let njobs = jobs.len();
-    let mut write_error: Option<std::io::Error> = None;
-    let kinds: Vec<psdacc_engine::JobKind> = jobs.iter().map(|j| j.kind.clone()).collect();
-    let report = state.engine.run_streaming(jobs, |result| {
-        // Service time of this job: the evaluation stage plus the
-        // preprocessing pass when this job actually paid for it.
-        let mut seconds = result.tau_eval_seconds;
-        if !result.cache_hit {
-            seconds += result.tau_pp_seconds.unwrap_or(0.0);
-        }
-        state.latency.record(&kinds[result.job], Duration::from_secs_f64(seconds.max(0.0)));
-        if write_error.is_some() {
-            return;
-        }
-        // `result.job` is the batch index; the wire carries the request id.
-        let line = result_line(ids[result.job], result);
-        if let Err(e) = writeln!(writer, "{line}").and_then(|()| writer.flush()) {
-            write_error = Some(e);
-        }
-    });
-    state.jobs_served.add(njobs as u64);
-    if let Some(e) = write_error {
-        return Err(ServeError::Io(format!("client went away mid-batch: {e}")));
-    }
-    let mut w = JsonWriter::new();
-    w.field_str("kind", "summary");
-    w.field_usize("jobs", report.pool.jobs);
-    w.field_usize("failed", report.failures().count());
-    w.field_usize("steals", report.pool.steals);
-    w.field_usize("cache_builds", report.cache.builds);
-    w.field_usize("disk_hits", report.cache.disk_hits);
-    w.field_f64("wall_seconds", report.wall_seconds);
-    writeln!(writer, "{}", w.finish())?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Renders the one `{"kind":"error",...}` line shape both connection
-/// modes speak.
+/// Renders the one `{"kind":"error",...}` line shape the daemon speaks.
 fn error_line(lineno: usize, error: &str) -> String {
     let mut w = JsonWriter::new();
     w.field_str("kind", "error");
@@ -490,86 +390,68 @@ fn error_line(lineno: usize, error: &str) -> String {
     w.finish()
 }
 
-fn write_error_line<W: Write>(writer: &mut W, lineno: usize, error: &str) -> std::io::Result<()> {
-    writeln!(writer, "{}", error_line(lineno, error))?;
-    writer.flush()
-}
-
 /// One queued unit: request id, the work, and the daemon-side `serve.unit`
 /// span opened when the request line was parsed (so the span covers
 /// channel queue time as well as execution).
 type UnitFeed = (usize, JobSpec, Option<OpenSpan>);
 
 /// Everything a unit executor shares with the reader loop — bundled so
-/// the executor signature stays readable.
-struct UnitMode<'a> {
+/// the executor signature stays readable. Each executor thread owns a copy.
+#[derive(Clone)]
+struct UnitCtx<'a> {
     state: &'a ServerState,
     writer: &'a Mutex<BufWriter<TcpStream>>,
     stream: &'a TcpStream,
-    tracer: &'a Tracer,
+    tracer: Arc<Tracer>,
     died: &'a AtomicBool,
     executed: &'a AtomicUsize,
     failed: &'a AtomicUsize,
 }
 
-/// Unit-streaming mode: jobs execute the moment they arrive, up to the
-/// engine's worker count concurrently, and each result is written back as
-/// soon as it completes (any order — results carry their request id).
+/// Drives one connection. Control requests are answered the moment they
+/// are read; job requests stream: each executes as soon as it arrives, up
+/// to the engine's worker count concurrently, and its result is written
+/// back as soon as it completes (any order — results carry their request
+/// id). The executors start with the first job, so control-only
+/// connections (readiness probes, `stats` scrapes) start no threads.
 ///
-/// Backpressure is structural: the executor feed channel is bounded, so a
-/// peer that outruns the daemon blocks in the kernel's TCP window instead
-/// of growing an unbounded queue. On client half-close the executors
-/// drain, then one `{"kind":"summary","mode":"units",...}` line ends the
-/// stream.
-///
-/// With a trace context, every unit records a `serve.unit` span parented
+/// An optional opening `evaluate_units` request carries the trace
+/// context; with it, every unit records a `serve.unit` span parented
 /// under the coordinator's root span, with `unit.parse` /
 /// `unit.cache_lookup` / `unit.preprocess` / `unit.tau_eval` /
 /// `unit.serialize` children — the per-unit timing breakdown the merged
 /// fleet trace is built from. Tracing never alters results: the tracer
 /// only ever *observes* timings around the identical execution path.
-fn handle_unit_mode<R: BufRead>(
-    state: &ServerState,
-    reader: &mut R,
-    stream: &TcpStream,
-    trace_ctx: Option<TraceContext>,
-) -> Result<(), ServeError> {
+///
+/// Backpressure is structural: the executor feed channel is bounded, so a
+/// peer that outruns the daemon blocks in the kernel's TCP window instead
+/// of growing an unbounded queue. On client half-close the executors
+/// drain, then one `{"kind":"summary","mode":"units",...}` line ends a
+/// stream that opened with `evaluate_units` or carried jobs.
+fn handle_connection(state: &ServerState, stream: &TcpStream) -> Result<(), ServeError> {
     let threads = state.engine.threads().max(1);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Mutex::new(BufWriter::new(stream.try_clone()?));
-    let tracer = match &trace_ctx {
-        Some(ctx) => state.traces.create(&ctx.batch),
-        None => Arc::new(Tracer::disabled()),
-    };
-    let root_span = trace_ctx.as_ref().and_then(|ctx| ctx.span);
     let (tx, rx) = mpsc::sync_channel::<UnitFeed>(threads * 2);
     let rx = Mutex::new(rx);
     let died = AtomicBool::new(false);
     let executed = AtomicUsize::new(0);
     let failed = AtomicUsize::new(0);
-    let ctx = UnitMode {
-        state,
-        writer: &writer,
-        stream,
-        tracer: &tracer,
-        died: &died,
-        executed: &executed,
-        failed: &failed,
-    };
+    let mut tracer = Arc::new(Tracer::disabled());
+    let mut root_span = None;
+    let mut opened = false;
     let mut auto_id = 0usize;
     let mut lineno = 0usize;
     let mut read_error: Option<std::io::Error> = None;
     std::thread::scope(|scope| -> Result<(), ServeError> {
-        for _ in 0..threads {
-            scope.spawn(|| unit_executor(&ctx, &rx));
-        }
         let tx = tx; // moved into the scope so executors see EOF at drop
         loop {
-            let line = match read_capped_line(reader) {
+            let line = match read_capped_line(&mut reader) {
                 Ok(Some(line)) => line,
                 Ok(None) => break,
                 // Read failures (I/O, or the MAX_LINE_BYTES protocol cap)
-                // must surface like batch mode's, not masquerade as a
-                // clean half-close; stop feeding and report below.
+                // must not masquerade as a clean half-close; stop feeding
+                // and report below.
                 Err(e) => {
                     read_error = Some(e);
                     break;
@@ -580,8 +462,24 @@ fn handle_unit_mode<R: BufRead>(
                 continue;
             }
             let parse_start = tracer.now_ns();
-            match parse_request(line.trim_end(), auto_id, &state.registry) {
+            let reply = match parse_request(line.trim_end(), auto_id, &state.registry) {
                 Ok(Request::Job { id, spec }) => {
+                    if auto_id == 0 {
+                        let ctx = UnitCtx {
+                            state,
+                            writer: &writer,
+                            stream,
+                            tracer: Arc::clone(&tracer),
+                            died: &died,
+                            executed: &executed,
+                            failed: &failed,
+                        };
+                        for _ in 0..threads {
+                            let ctx = ctx.clone();
+                            let rx = &rx;
+                            scope.spawn(move || unit_executor(&ctx, rx));
+                        }
+                    }
                     auto_id += 1;
                     let unit_span = tracer.start("serve.unit", root_span, Some(id as u64));
                     if let Some(span) = &unit_span {
@@ -599,26 +497,32 @@ fn handle_unit_mode<R: BufRead>(
                     if tx.send((id, spec, unit_span)).is_err() {
                         break;
                     }
+                    continue;
                 }
-                Ok(Request::Stats) => write_locked(&writer, &state.stats_line())?,
-                Ok(Request::Metrics) => write_locked(&writer, &state.metrics_line())?,
-                Ok(Request::Trace { batch }) => {
-                    write_locked(&writer, &state.trace_line(lineno, &batch))?
+                // The trace context applies from the first unit on, so it
+                // only counts before one; later openers are no-ops.
+                Ok(Request::EvaluateUnits { trace }) => {
+                    if auto_id == 0 {
+                        if let Some(ctx) = trace {
+                            tracer = state.traces.create(&ctx.batch);
+                            root_span = ctx.span;
+                        }
+                    }
+                    opened = true;
+                    continue;
                 }
-                Ok(Request::Hello) => write_locked(&writer, &state.hello_line())?,
-                Ok(Request::Scenarios) => {
-                    write_locked(&writer, &state.registry.scenarios_json_line())?
-                }
-                Ok(Request::Describe { family }) => {
-                    write_locked(&writer, &state.describe_line(lineno, family.as_deref()))?
-                }
+                Ok(Request::Stats) => state.stats_line(),
+                Ok(Request::Metrics) => state.metrics_line(),
+                Ok(Request::Trace { batch }) => state.trace_line(lineno, &batch),
+                Ok(Request::Hello) => state.hello_line(),
+                Ok(Request::Scenarios) => state.registry.scenarios_json_line(),
+                Ok(Request::Describe { family }) => state.describe_line(lineno, family.as_deref()),
                 Ok(Request::DefineScenario { name, spec }) => {
-                    write_locked(&writer, &state.define_scenario_line(lineno, &name, spec))?
+                    state.define_scenario_line(lineno, &name, spec)
                 }
-                // Idempotent: the connection is already in unit mode.
-                Ok(Request::EvaluateUnits { .. }) => {}
-                Err(e) => write_locked(&writer, &error_line(lineno, &e))?,
-            }
+                Err(e) => error_line(lineno, &e),
+            };
+            write_locked(&writer, &reply)?;
         }
         Ok(())
     })?;
@@ -631,6 +535,9 @@ fn handle_unit_mode<R: BufRead>(
         // ended without a summary.
         let _ = write_locked(&writer, &error_line(lineno + 1, &e.to_string()));
         return Err(ServeError::Io(format!("unit stream read failed: {e}")));
+    }
+    if !opened && auto_id == 0 {
+        return Ok(());
     }
     let mut w = JsonWriter::new();
     w.field_str("kind", "summary");
@@ -648,10 +555,11 @@ fn write_locked(writer: &Mutex<BufWriter<TcpStream>>, line: &str) -> Result<(), 
     Ok(())
 }
 
-/// One unit-mode executor: pull a unit, (chaos-)execute, write the result,
+/// One unit executor: pull a unit, (chaos-)execute, write the result,
 /// repeat until the feed channel closes.
-fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>) {
+fn unit_executor(ctx: &UnitCtx<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>) {
     let state = ctx.state;
+    let tracer = ctx.tracer.as_ref();
     loop {
         // Holding the lock across the blocking recv is deliberate: exactly
         // one idle executor waits in recv at a time, takes the unit,
@@ -666,18 +574,18 @@ fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>) {
             std::thread::sleep(state.config.chaos_unit_delay);
         }
         let parent = unit_span.as_ref().map(|s| s.id);
-        let unit_trace = UnitTrace { tracer: ctx.tracer, parent, unit: Some(id as u64) };
+        let unit_trace = UnitTrace { tracer, parent, unit: Some(id as u64) };
         let t0 = Instant::now();
         let result = run_job_traced(state.engine.cache().as_ref(), 0, &spec, Some(&unit_trace));
         state.latency.record(&spec.kind, t0.elapsed());
         if result.error.is_some() {
             ctx.failed.fetch_add(1, Ordering::Relaxed);
         }
-        let serialize = ctx.tracer.start("unit.serialize", parent, Some(id as u64));
+        let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
         let line = result_line(id, &result);
         let wrote = write_locked(ctx.writer, &line);
-        ctx.tracer.end(serialize);
-        ctx.tracer.end(unit_span);
+        tracer.end(serialize);
+        tracer.end(unit_span);
         if wrote.is_err() {
             // Client went away; keep draining so the reader can unwind.
             ctx.died.store(true, Ordering::SeqCst);

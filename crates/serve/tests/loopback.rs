@@ -1,45 +1,19 @@
-//! Loopback integration: daemons on 127.0.0.1 must produce results
-//! **bit-identical** to the in-process engine, a warm restart over the
-//! same store must perform zero preprocessing builds, and the 2-daemon
-//! sharded submit must merge back into exactly the single-process output.
+//! Loopback integration over raw sockets: the daemon's one connection
+//! protocol (control requests answered immediately, job lines streamed
+//! back tagged with their ids, a `mode:"units"` summary at half-close),
+//! results bit-identical to the in-process engine, and the client's
+//! readiness probes and connection limits. Batch dispatch across daemons
+//! is covered by the `psdacc-sched` fleet suite.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::Arc;
 
 use psdacc_engine::json::{self, Json};
 use psdacc_engine::{BatchSpec, Engine};
 use psdacc_serve::{client, Server, ServerHandle};
-use psdacc_store::PersistentCache;
-
-/// Three scenario families x estimates, refinement, min-uniform, and a
-/// small seeded simulation — every protocol job kind.
-const SPEC: &str = "scenario fir-cascade stages=2 taps=15 cutoff=0.2\n\
-                    scenario freq-filter\n\
-                    scenario dwt-pipeline levels=1\n\
-                    batch npsd=128 bits=8..11 methods=psd,flat\n\
-                    refine npsd=128 budget=1e-6 start=14 min=4\n\
-                    min-uniform npsd=128 budget=1e-6 min=2 max=24\n\
-                    budget npsd=128 bits=9\n\
-                    simulate npsd=128 bits=10 samples=4096 nfft=64 seed=11 trials=1\n";
-
-/// Distinct `(scenario, npsd)` keys in [`SPEC`].
-const SPEC_KEYS: usize = 3;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("psdacc-serve-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn spawn_memory_daemon(threads: usize) -> ServerHandle {
     Server::bind("127.0.0.1:0", Engine::new(threads)).unwrap().spawn().unwrap()
-}
-
-fn spawn_store_daemon(dir: &PathBuf, threads: usize) -> ServerHandle {
-    let cache = Arc::new(PersistentCache::open(dir).unwrap());
-    Server::bind("127.0.0.1:0", Engine::with_shared_cache(threads, cache)).unwrap().spawn().unwrap()
 }
 
 /// A result line minus its run-dependent fields (timings, cache hit flag):
@@ -60,132 +34,10 @@ fn stat(line: &str, field: &str) -> u64 {
     json::parse(line).unwrap().get(field).and_then(Json::as_u64).unwrap()
 }
 
-/// The acceptance shape: a 2-daemon sharded `submit` produces output
-/// bit-identical to a single-process engine run of the same spec.
-#[test]
-fn two_daemon_shard_matches_single_process_engine_bit_for_bit() {
-    let spec = BatchSpec::parse(SPEC).unwrap();
-    let expected: Vec<String> =
-        Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
-
-    let a = spawn_memory_daemon(2);
-    let b = spawn_memory_daemon(2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let mut streamed: Vec<String> = Vec::new();
-    let outcome = client::submit_streaming(&workers, &spec.jobs(), |line| {
-        streamed.push(line.to_string());
-    })
-    .unwrap();
-
-    assert_eq!(outcome.lines.len(), expected.len());
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.summaries.len(), 2, "one summary per worker");
-    assert_eq!(streamed, outcome.lines, "streaming callback saw the merged order");
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    // Shard really happened: both daemons served jobs.
-    for worker in &workers {
-        let stats = client::request_control(worker, "stats").unwrap();
-        assert!(stat(&stats, "jobs_served") > 0, "{stats}");
-    }
-    a.shutdown();
-    b.shutdown();
-}
-
-/// The acceptance criterion for persistence: cold daemon builds and
-/// persists; a fresh daemon on the same store serves the same batch with
-/// **zero** preprocessing builds, bit-identically.
-#[test]
-fn warm_daemon_restart_serves_with_zero_builds() {
-    let dir = tmp_dir("warm");
-    let spec = BatchSpec::parse(SPEC).unwrap();
-
-    let cold = spawn_store_daemon(&dir, 3);
-    let cold_addr = cold.addr().to_string();
-    let cold_outcome = client::submit(std::slice::from_ref(&cold_addr), &spec.jobs()).unwrap();
-    assert_eq!(cold_outcome.failed, 0);
-    let stats = client::request_control(&cold_addr, "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds") as usize, SPEC_KEYS, "{stats}");
-    assert_eq!(stat(&stats, "disk_writes") as usize, SPEC_KEYS, "{stats}");
-    assert_eq!(stat(&stats, "disk_hits"), 0, "{stats}");
-    cold.shutdown();
-
-    // "Restart": a brand-new daemon process state over the same directory.
-    let warm = spawn_store_daemon(&dir, 3);
-    let warm_addr = warm.addr().to_string();
-    let warm_outcome = client::submit(std::slice::from_ref(&warm_addr), &spec.jobs()).unwrap();
-    assert_eq!(warm_outcome.failed, 0);
-    let stats = client::request_control(&warm_addr, "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 0, "warm start must not preprocess: {stats}");
-    assert_eq!(stat(&stats, "disk_hits") as usize, SPEC_KEYS, "{stats}");
-    warm.shutdown();
-
-    assert_eq!(cold_outcome.lines.len(), warm_outcome.lines.len());
-    for (c, w) in cold_outcome.lines.iter().zip(&warm_outcome.lines) {
-        assert_eq!(stable_fields(c), stable_fields(w), "\ncold: {c}\nwarm: {w}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The multirate acceptance shape: decimated-DWT scenario families flow
-/// through the wire protocol, the persistent store, and 2-daemon sharding
-/// with zero protocol changes — sharded output bit-identical to the
-/// single-process engine, and a warm restart on the same store performs
-/// zero preprocessing (kernel) builds.
-#[test]
-fn decimated_dwt_batch_shards_and_persists_bit_identically() {
-    // Analytic estimates, a refinement, and a seeded Monte-Carlo run over
-    // both decimated families (npsd divisible by 2^levels throughout).
-    let spec_text = "scenario dwt-decimated levels=1..2\n\
-                     scenario dwt-packet depth=1\n\
-                     batch npsd=64 bits=8..10 methods=psd,agnostic\n\
-                     min-uniform npsd=64 budget=1e-5 min=2 max=24\n\
-                     simulate npsd=64 bits=8 samples=2048 nfft=32 seed=5 trials=1\n";
-    let spec = BatchSpec::parse(spec_text).unwrap();
-    let keys = 3; // dwt-decimated[1], dwt-decimated[2], dwt-packet[1]
-    let expected: Vec<String> =
-        Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
-
-    let dir = tmp_dir("decimated");
-    let a = spawn_store_daemon(&dir, 2);
-    let b = spawn_store_daemon(&dir, 2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let outcome = client::submit(&workers, &spec.jobs()).unwrap();
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    a.shutdown();
-    b.shutdown();
-
-    // Warm restart over the shared store: multirate kernels load from
-    // disk, zero preprocessing builds, bit-identical results again.
-    let warm = spawn_store_daemon(&dir, 2);
-    let warm_addr = warm.addr().to_string();
-    let warm_outcome = client::submit(std::slice::from_ref(&warm_addr), &spec.jobs()).unwrap();
-    assert_eq!(warm_outcome.failed, 0);
-    let stats = client::request_control(&warm_addr, "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 0, "warm start must not preprocess: {stats}");
-    assert_eq!(stat(&stats, "disk_hits") as usize, keys, "{stats}");
-    // The richer stats surface the per-scenario counters.
-    let v = json::parse(&stats).unwrap();
-    let per = v.get("scenario_cache").unwrap().as_array().unwrap();
-    assert_eq!(per.len(), keys, "{stats}");
-    assert!(per
-        .iter()
-        .any(|e| e.get("scenario").and_then(Json::as_str) == Some("dwt-decimated[levels=2]")));
-    warm.shutdown();
-    for (got, want) in warm_outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Control requests answer immediately, malformed lines get error
-/// responses without killing the connection, and job errors come back as
-/// result records.
+/// responses without killing the connection, and a job line needs no
+/// `evaluate_units` opener: it streams back as a result tagged with its
+/// id, and half-close ends the stream with the `mode:"units"` summary.
 #[test]
 fn protocol_robustness_over_a_raw_socket() {
     let daemon = spawn_memory_daemon(2);
@@ -219,8 +71,8 @@ fn protocol_robustness_over_a_raw_socket() {
     let v = json::parse(line.trim_end()).unwrap();
     assert_eq!(v.get("kind").unwrap().as_str(), Some("error"));
 
-    // ...while a valid job queued before EOF comes back as a result plus a
-    // summary after half-close.
+    // ...while a valid job comes back as a result carrying its id, and
+    // half-close ends the stream with the unit summary.
     writeln!(
         &stream,
         "{{\"kind\":\"evaluate\",\"scenario\":\"freq-filter\",\"bits\":12,\"id\":5}}"
@@ -234,12 +86,28 @@ fn protocol_robustness_over_a_raw_socket() {
     assert!(result.get("power").unwrap().as_f64().unwrap() > 0.0);
     let summary = json::parse(&rest[1]).unwrap();
     assert_eq!(summary.get("kind").unwrap().as_str(), Some("summary"));
+    assert_eq!(summary.get("mode").unwrap().as_str(), Some("units"));
     assert_eq!(summary.get("jobs").unwrap().as_u64(), Some(1));
     assert_eq!(summary.get("failed").unwrap().as_u64(), Some(0));
+
+    // A control-only connection gets exactly its replies: no job stream
+    // was opened, so half-close sends no summary.
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    writeln!(&stream, "{{\"kind\":\"hello\"}}").unwrap();
+    writeln!(&stream, "{{\"kind\":\"stats\"}}").unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let replies: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    let kinds: Vec<Option<String>> = replies
+        .iter()
+        .map(|l| json::parse(l).unwrap().get("kind").and_then(Json::as_str).map(String::from))
+        .collect();
+    assert_eq!(kinds, [Some("hello".to_string()), Some("stats".to_string())], "{replies:?}");
     daemon.shutdown();
 }
 
-/// `wait_ready` turns `daemon & submit` scripting into a non-race.
+/// `wait_ready` turns `daemon & psdacc-sched submit` scripting into a
+/// non-race.
 #[test]
 fn wait_ready_sees_a_live_daemon_and_times_out_on_a_dead_one() {
     let daemon = spawn_memory_daemon(1);
@@ -249,9 +117,8 @@ fn wait_ready_sees_a_live_daemon_and_times_out_on_a_dead_one() {
     assert!(client::wait_ready(&addr.to_string(), std::time::Duration::from_millis(200)).is_err());
 }
 
-/// An unreachable worker is a prompt error naming the dead address — on
-/// the direct submit path and on the all-workers readiness probe (which
-/// must name *every* dead address, not serially time out on the first).
+/// The all-workers readiness probe names *every* dead address at once,
+/// instead of serially timing out on the first.
 #[test]
 fn unreachable_workers_fail_fast_with_their_addresses_named() {
     let live = spawn_memory_daemon(1);
@@ -260,50 +127,14 @@ fn unreachable_workers_fail_fast_with_their_addresses_named() {
     let dead_a = "127.0.0.1:1".to_string();
     let dead_b = "127.0.0.1:2".to_string();
 
-    let spec = BatchSpec::parse("scenario freq-filter\nbatch npsd=64 bits=10\n").unwrap();
     let t0 = std::time::Instant::now();
-    let err = client::submit(std::slice::from_ref(&dead_a), &spec.jobs()).unwrap_err();
-    assert!(err.to_string().contains(&dead_a), "{err}");
-    assert!(t0.elapsed() < std::time::Duration::from_secs(30), "no connect hang");
-
     let workers = vec![live_addr, dead_a.clone(), dead_b.clone()];
     let err = client::wait_all_ready(&workers, std::time::Duration::from_millis(300)).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains(&dead_a) && msg.contains(&dead_b), "{msg}");
     assert!(msg.contains("2 of 3"), "{msg}");
+    assert!(t0.elapsed() < std::time::Duration::from_secs(30), "no connect hang");
     live.shutdown();
-}
-
-/// After a served batch the `stats` reply carries per-verb log-bucketed
-/// latency histograms with non-zero counts for every verb the batch used.
-#[test]
-fn stats_reply_carries_latency_histograms() {
-    let daemon = spawn_memory_daemon(2);
-    let addr = daemon.addr().to_string();
-    let spec = BatchSpec::parse(SPEC).unwrap();
-    client::submit(std::slice::from_ref(&addr), &spec.jobs()).unwrap();
-    let stats = client::request_control(&addr, "stats").unwrap();
-    let v = json::parse(&stats).unwrap();
-    let latency = v.get("latency").unwrap().as_array().unwrap();
-    assert_eq!(latency.len(), 5, "{stats}");
-    for verb in ["evaluate", "greedy", "min-uniform", "budget", "simulate"] {
-        let entry = latency
-            .iter()
-            .find(|e| e.get("verb").and_then(Json::as_str) == Some(verb))
-            .unwrap_or_else(|| panic!("verb {verb} missing: {stats}"));
-        assert!(entry.get("count").unwrap().as_u64().unwrap() > 0, "verb {verb} unused: {stats}");
-        let buckets = entry.get("buckets").unwrap().as_array().unwrap();
-        assert_eq!(buckets.len(), psdacc_obs::NUM_BUCKETS);
-        assert!(entry.get("p95_ns").unwrap().as_f64().is_some(), "{stats}");
-        // Exact extremes ride along with the bucketed percentiles and
-        // bracket each other for a used verb.
-        let min = entry.get("min_ns").unwrap().as_u64().unwrap();
-        let max = entry.get("max_ns").unwrap().as_u64().unwrap();
-        assert!(min > 0 && min <= max, "verb {verb} extremes: {stats}");
-        let total: u64 = buckets.iter().map(|b| b.as_u64().unwrap()).sum();
-        assert_eq!(total, entry.get("count").unwrap().as_u64().unwrap(), "{stats}");
-    }
-    daemon.shutdown();
 }
 
 /// Connections beyond `--max-connections` get one explanatory error line
@@ -372,9 +203,9 @@ fn connection_limit_refuses_with_an_error_line() {
     daemon.shutdown();
 }
 
-/// Unit-streaming mode over a raw socket: jobs execute as they arrive,
-/// results come back tagged (any order), control requests interleave, and
-/// half-close yields a `mode:"units"` summary.
+/// A job stream opened by `evaluate_units` over a raw socket: jobs execute
+/// as they arrive, results come back tagged (any order), control requests
+/// interleave, and half-close yields a `mode:"units"` summary.
 #[test]
 fn evaluate_units_mode_streams_results_as_they_complete() {
     let daemon = spawn_memory_daemon(2);
@@ -429,7 +260,7 @@ fn evaluate_units_mode_streams_results_as_they_complete() {
     daemon.shutdown();
 }
 
-/// Unit-streaming with a wire trace context: the daemon records a
+/// A job stream with a wire trace context: the daemon records a
 /// `serve.unit` span per unit parented under the coordinator's span, with
 /// parse/cache/preprocess/tau_eval/serialize children, all retrievable
 /// via the `trace` control verb — and results stay bit-identical to an
@@ -510,177 +341,4 @@ fn evaluate_units_trace_context_yields_parented_daemon_spans() {
     reader.read_line(&mut line).unwrap();
     assert!(psdacc_serve::parse_trace_reply(line.trim_end()).is_err(), "{line}");
     daemon.shutdown();
-}
-
-/// The open-scenario-API acceptance shape at the serve layer: a graph
-/// defined over the wire on **both** daemons of a shard evaluates through
-/// `submit` bit-identically to a local single-process engine run, and the
-/// definition is observable via `stats` / `scenarios` / `describe`.
-#[test]
-fn defined_graph_scenario_shards_bit_identically_to_local_run() {
-    const GRAPH: &str = r#"{"nodes":[{"name":"x","block":"input"},
-        {"name":"lp","block":"fir","taps":[0.4,0.3,0.2,0.1],"inputs":["x"]},
-        {"name":"d2","block":"downsample","factor":2,"inputs":["lp"]},
-        {"name":"u2","block":"upsample","factor":2,"inputs":["d2"]},
-        {"name":"post","block":"fir","taps":[0.5,0.5],"inputs":["u2"]},
-        {"name":"trim","block":"gain","gain":0.5,"inputs":["post"],"role":"exact"}],
-        "outputs":["trim"]}"#;
-    const DYN_SPEC: &str = "scenario my-codec\n\
-                            scenario freq-filter\n\
-                            batch npsd=64 bits=8..10 methods=psd,agnostic\n\
-                            simulate npsd=64 bits=9 samples=2048 nfft=64 seed=5 trials=1\n";
-
-    // Local reference: same registry mechanics, single process.
-    let registry = psdacc_engine::ScenarioRegistry::new();
-    let defined = registry.define_graph_json("my-codec", GRAPH).unwrap();
-    let spec = BatchSpec::parse_with(DYN_SPEC, &registry).unwrap();
-    let expected: Vec<String> =
-        Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
-
-    // Fleet: define over the wire on both daemons, then shard.
-    let a = spawn_memory_daemon(2);
-    let b = spawn_memory_daemon(2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let definitions = vec![("my-codec".to_string(), defined.canonical_json().to_string())];
-    client::define_scenarios(&workers, &definitions).unwrap();
-    let outcome = client::submit(&workers, &spec.jobs()).unwrap();
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    // The dynamic scenario's rows carry its content-hash key.
-    let dynamic_rows = outcome.lines.iter().filter(|l| l.contains(&defined.key())).count();
-    assert_eq!(dynamic_rows, 7, "3 bits x 2 methods + 1 simulate on the defined graph");
-
-    // Both daemons know about the definition.
-    for worker in &workers {
-        let stats = client::request_control(worker, "stats").unwrap();
-        assert_eq!(stat(&stats, "dynamic_scenarios"), 1, "{stats}");
-        assert_eq!(stat(&stats, "protocol"), psdacc_serve::PROTOCOL_REVISION as u64, "{stats}");
-        let scenarios = client::request_control(worker, "scenarios").unwrap();
-        assert_eq!(stat(&scenarios, "dynamic"), 1, "{scenarios}");
-        assert!(scenarios.contains("my-codec"), "{scenarios}");
-        let describe = client::request_control(worker, "describe").unwrap();
-        let v = json::parse(&describe).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("describe"));
-        // 9 builtin + 3 estim + 1 dynamic.
-        assert_eq!(v.get("count").unwrap().as_u64(), Some(13), "{describe}");
-    }
-    // An undefined daemon rejects the named scenario with a clear error.
-    let lonely = spawn_memory_daemon(1);
-    let err = client::submit(&[lonely.addr().to_string()], &spec.jobs()).unwrap_err();
-    assert!(err.to_string().contains("my-codec"), "{err}");
-    lonely.shutdown();
-    a.shutdown();
-    b.shutdown();
-}
-
-/// Dynamic scenarios persist like builtins: a daemon restart over the same
-/// store serves a re-defined identical graph with zero preprocessing
-/// builds (the content hash is the disk address).
-#[test]
-fn defined_graph_scenario_warm_restarts_from_the_store() {
-    const GRAPH: &str = r#"{"nodes":[{"name":"x","block":"input"},
-        {"name":"f","block":"iir","b":[0.2],"a":[1.0,-0.6],"inputs":["x"]}],
-        "outputs":["f"]}"#;
-    let dir = tmp_dir("dynwarm");
-    let registry = psdacc_engine::ScenarioRegistry::new();
-    let defined = registry.define_graph_json("warm-codec", GRAPH).unwrap();
-    let spec = BatchSpec::parse_with(
-        "scenario warm-codec\nbatch npsd=64 bits=8..12 methods=psd\n",
-        &registry,
-    )
-    .unwrap();
-    let definitions = vec![("warm-codec".to_string(), defined.canonical_json().to_string())];
-
-    let cold = spawn_store_daemon(&dir, 2);
-    let cold_addr = vec![cold.addr().to_string()];
-    client::define_scenarios(&cold_addr, &definitions).unwrap();
-    let cold_outcome = client::submit(&cold_addr, &spec.jobs()).unwrap();
-    assert_eq!(cold_outcome.failed, 0);
-    let stats = client::request_control(&cold_addr[0], "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 1, "{stats}");
-    assert_eq!(stat(&stats, "disk_writes"), 1, "{stats}");
-    cold.shutdown();
-
-    let warm = spawn_store_daemon(&dir, 2);
-    let warm_addr = vec![warm.addr().to_string()];
-    client::define_scenarios(&warm_addr, &definitions).unwrap();
-    let warm_outcome = client::submit(&warm_addr, &spec.jobs()).unwrap();
-    assert_eq!(warm_outcome.failed, 0);
-    let stats = client::request_control(&warm_addr[0], "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 0, "re-defined identical graph: {stats}");
-    assert_eq!(stat(&stats, "disk_hits"), 1, "{stats}");
-    for (a, b) in cold_outcome.lines.iter().zip(&warm_outcome.lines) {
-        assert_eq!(stable_fields(a), stable_fields(b));
-    }
-    warm.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The measured-signal acceptance shape (PR 10): estimated-PSD scenarios —
-/// both the estim families (rebuilt from seeds on each daemon) and a
-/// `GraphSpec` carrying inline recorded samples, defined over the wire on
-/// **both** daemons — shard bit-identically to a local single-process run.
-/// Daemons hold no trace state; determinism of the estimation pipeline is
-/// the only thing keeping the fleet honest, which is exactly what this
-/// test pins.
-#[test]
-fn measured_source_scenarios_shard_bit_identically_to_local_run() {
-    // A short recorded trace inlined in the spec (the canonical wire
-    // form — `trace` references are resolved client-side before this).
-    let mut gen = psdacc_dsp::SignalGenerator::new(4242);
-    let samples: Vec<String> = gen.ar1(512, 0.8, 0.02).iter().map(|s| format!("{s:e}")).collect();
-    let graph = format!(
-        r#"{{"nodes":[{{"name":"x","block":"input"}},
-            {{"name":"m","block":"measured","samples":[{}],"nfft":64}},
-            {{"name":"s","block":"add","inputs":["x","m"]}},
-            {{"name":"lp","block":"fir","taps":[0.3,0.4,0.3],"inputs":["s"]}}],
-            "outputs":["lp"]}}"#,
-        samples.join(",")
-    );
-    const MEASURED_SPEC: &str = "scenario recorded-rig\n\
-                                 scenario measured-welch samples=1024 nfft=128 seed=3\n\
-                                 scenario sigma-delta order=2 osr=8 samples=4096 nfft=256\n\
-                                 batch npsd=128 bits=8..11 methods=psd rounding=nearest\n\
-                                 budget npsd=128 bits=9\n";
-
-    // Local reference.
-    let registry = psdacc_engine::ScenarioRegistry::new();
-    let defined = registry.define_graph_json("recorded-rig", &graph).unwrap();
-    let spec = BatchSpec::parse_with(MEASURED_SPEC, &registry).unwrap();
-    let expected: Vec<String> =
-        Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
-    assert!(expected.len() >= 15, "4 bits x 3 scenarios + 3 budgets");
-
-    // Fleet: define the recorded graph on both daemons, then shard.
-    let a = spawn_memory_daemon(2);
-    let b = spawn_memory_daemon(2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let definitions = vec![("recorded-rig".to_string(), defined.canonical_json().to_string())];
-    client::define_scenarios(&workers, &definitions).unwrap();
-    let outcome = client::submit(&workers, &spec.jobs()).unwrap();
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    // The budget rows carry the measured role over the wire.
-    let budget_lines: Vec<&String> =
-        outcome.lines.iter().filter(|l| l.contains("\"kind\":\"budget\"")).collect();
-    assert_eq!(budget_lines.len(), 3);
-    assert!(
-        budget_lines.iter().all(|l| l.contains("\"role\":\"measured\"")),
-        "every scenario in this spec has a measured source"
-    );
-    // Both daemons advertise the estim families to clients.
-    for worker in &workers {
-        let describe = client::request_control(worker, "describe").unwrap();
-        for family in ["measured-welch", "cross-spectrum", "sigma-delta"] {
-            assert!(describe.contains(family), "{worker} missing {family}: {describe}");
-        }
-    }
-    a.shutdown();
-    b.shutdown();
 }
