@@ -62,8 +62,8 @@ pub struct BatchSpec {
 }
 
 impl BatchSpec {
-    /// Parses a spec document against the default scenario providers (the
-    /// builtin families plus inline `graph={...}` lines). Specs that
+    /// Parses a spec document against the default registry (the static
+    /// families plus inline `graph={...}` lines). Specs that
     /// reference *named* runtime-defined scenarios need
     /// [`BatchSpec::parse_with`] and a populated registry.
     ///

@@ -11,8 +11,9 @@
 //! * an **open scenario API** ([`scenario`], [`provider`], [`graphspec`])
 //!   — named, parameterized generators for every builtin system family
 //!   (Table I filter banks, FIR/IIR cascades, the Fig. 2 frequency filter,
-//!   CDF 9/7 wavelet pipelines, decimated codecs, seeded random SFGs)
-//!   behind a [`ScenarioProvider`] registry, plus **runtime-defined**
+//!   CDF 9/7 wavelet pipelines, decimated codecs, seeded random SFGs) and
+//!   the measured-signal families, each written once in one family table
+//!   behind the [`ScenarioRegistry`], plus **runtime-defined**
 //!   scenarios: any [`psdacc_sfg::GraphSpec`] is a scenario, inline in
 //!   spec files (`scenario graph={...}`) or registered by name
 //!   ([`ScenarioRegistry::define_graph`] — the serve `define_scenario`
@@ -48,9 +49,8 @@
 //!
 //! Specs expand through one shared path: [`BatchSpec::units`] lazily
 //! yields [`units::WorkUnit`]s (id-tagged [`JobSpec`]s) in submission
-//! order, so the local CLI, the `psdacc-serve` sharding client, and the
-//! `psdacc-sched` fleet coordinator all see the identical ordered job
-//! list.
+//! order, so the local CLI and the `psdacc-sched` fleet coordinator see
+//! the identical ordered job list.
 
 pub mod batch;
 pub mod cache;
@@ -80,9 +80,7 @@ pub use error::EngineError;
 pub use graphspec::{canonical_json, graph_spec_from_str, resolve_trace_refs, GraphScenario};
 pub use job::{run_job, run_job_traced, JobKind, JobResult, JobSpec, UnitTrace};
 pub use pool::PoolStats;
-pub use provider::{
-    BuiltinProvider, FamilyInfo, GraphProvider, ParamSpec, ScenarioProvider, ScenarioRegistry,
-};
+pub use provider::{FamilyInfo, ParamSpec, ScenarioRegistry};
 pub use scenario::Scenario;
 pub use units::{Units, WorkUnit};
 

@@ -1,25 +1,22 @@
-//! The open scenario registry: providers, family introspection, and
-//! runtime graph definition.
+//! The scenario registry: the static family table, family introspection,
+//! and runtime graph definition.
 //!
-//! PR 1's scenario registry was a closed table — adding a workload meant
-//! editing the engine. This module replaces it with a provider API:
-//!
-//! * [`ScenarioProvider`] — anything that can turn `name key=value ...`
-//!   tokens into a [`Scenario`] and describe its families (with per-family
-//!   **parameter schemas**, which is what the serve `describe` verb
-//!   returns to clients);
-//! * [`BuiltinProvider`] — the 9 paper-derived families, exactly as
-//!   before (parity-tested bit-identical through this path);
-//! * [`EstimProvider`] — the 3 measured-signal families whose noise model
-//!   comes from `psdacc-estim` spectrum estimation of seeded traces;
-//! * [`GraphProvider`] — runtime-defined [`GraphSpec`] scenarios,
-//!   registered by name (the `define_scenario` wire verb lands here) and
-//!   identified by content hash;
-//! * [`ScenarioRegistry`] — the provider chain a parser consults. Cloning
-//!   shares the underlying providers, so every connection thread of a
-//!   daemon sees definitions the moment they are registered.
+//! * The family table is the one place each static family is written:
+//!   name, provider tag (`builtin` for the 9 paper-derived families,
+//!   `estim` for the 3 measured-signal families), description, and the
+//!   parameter schema — order, kinds, defaults, constraint text. Spec-line
+//!   parsing and its defaults, `describe`/`scenarios` introspection, and
+//!   the parameter order of [`Scenario::key`] / [`Scenario::to_spec_line`]
+//!   all derive from it.
+//! * Runtime-defined [`GraphSpec`] scenarios are registered by name (the
+//!   `define_scenario` wire verb lands here), tagged `dynamic`, and
+//!   identified by content hash.
+//! * [`ScenarioRegistry`] parses against both. Cloning shares the named
+//!   graphs, so every connection thread of a daemon sees definitions the
+//!   moment they are registered.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, RwLock};
 
 use psdacc_sfg::{spec, GraphSpec};
@@ -50,7 +47,7 @@ pub struct ParamSpec {
 pub struct FamilyInfo {
     /// Family name as written in batch specs.
     pub name: String,
-    /// Which provider serves it (`"builtin"` or `"dynamic"`).
+    /// Which table serves it (`"builtin"`, `"estim"`, or `"dynamic"`).
     pub provider: &'static str,
     /// One-line description.
     pub description: String,
@@ -102,544 +99,412 @@ impl FamilyInfo {
     }
 }
 
-/// A source of scenario families. Implementations must be cheap to query:
-/// parsers consult every provider per spec line.
-pub trait ScenarioProvider: Send + Sync + std::fmt::Debug {
-    /// Provenance tag recorded in [`FamilyInfo::provider`].
-    fn provider_name(&self) -> &'static str;
+const INT: &str = "int";
+const FLOAT: &str = "float";
+const STR: &str = "str";
 
-    /// The families this provider currently serves.
-    fn families(&self) -> Vec<FamilyInfo>;
-
-    /// Parses `name params` into a scenario. `Ok(None)` means "not my
-    /// family" (the registry moves on to the next provider); `Err` means
-    /// the family is this provider's but the parameters are invalid.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] for invalid parameters of an owned family.
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError>;
+/// A parameter that takes its schema default when a spec line omits it.
+const fn param(
+    name: &'static str,
+    kind: &'static str,
+    default: &'static str,
+    constraint: &'static str,
+) -> ParamSpec {
+    ParamSpec { name, kind, required: false, default: Some(default), constraint }
 }
 
-/// The 9 builtin families (Table I banks, cascades, the Fig. 2 chain, CDF
-/// 9/7 pipelines, decimated codecs, random SFGs) behind the provider API.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BuiltinProvider;
+/// A parameter every spec line must give.
+const fn required(name: &'static str, kind: &'static str, constraint: &'static str) -> ParamSpec {
+    ParamSpec { name, kind, required: true, default: None, constraint }
+}
 
-struct BuiltinFamily {
+/// One row of the static family table.
+pub(crate) struct Family {
     name: &'static str,
+    provider: &'static str,
     description: &'static str,
     params: &'static [ParamSpec],
+    /// Builds the variant, reading its parameters in schema order.
+    make: fn(&mut Args<'_>) -> Result<Scenario, EngineError>,
 }
 
-const BUILTIN_FAMILIES: &[BuiltinFamily] = &[
-    BuiltinFamily {
-        name: "fir-bank",
-        description: "one FIR of the paper's Table I population",
-        params: &[ParamSpec {
-            name: "index",
-            kind: "int",
-            required: true,
+pub(crate) static FIR_BANK: Family = Family {
+    name: "fir-bank",
+    provider: "builtin",
+    description: "one FIR of the paper's Table I population",
+    params: &[required("index", INT, "0..147")],
+    make: |a| Ok(Scenario::FirBank { index: a.int()? }),
+};
+
+pub(crate) static IIR_BANK: Family = Family {
+    name: "iir-bank",
+    provider: "builtin",
+    description: "one IIR of the paper's Table I population",
+    params: &[required("index", INT, "0..147")],
+    make: |a| Ok(Scenario::IirBank { index: a.int()? }),
+};
+
+pub(crate) static FIR_CASCADE: Family = Family {
+    name: "fir-cascade",
+    provider: "builtin",
+    description: "chain of identical lowpass FIR stages",
+    params: &[
+        param("stages", INT, "2", "1..=16"),
+        param("taps", INT, "31", "3..=255"),
+        param("cutoff", FLOAT, "0.2", "(0, 0.5)"),
+    ],
+    make: |a| Ok(Scenario::FirCascade { stages: a.int()?, taps: a.int()?, cutoff: a.float()? }),
+};
+
+pub(crate) static IIR_CASCADE: Family = Family {
+    name: "iir-cascade",
+    provider: "builtin",
+    description: "chain of identical Butterworth IIR stages",
+    params: &[
+        param("stages", INT, "2", "1..=16"),
+        param("order", INT, "4", "1..=10"),
+        param("cutoff", FLOAT, "0.2", "(0, 0.5)"),
+    ],
+    make: |a| Ok(Scenario::IirCascade { stages: a.int()?, order: a.int()?, cutoff: a.float()? }),
+};
+
+pub(crate) static FREQ_FILTER: Family = Family {
+    name: "freq-filter",
+    provider: "builtin",
+    description: "Fig. 2 band-pass chain (prefilter + highpass)",
+    params: &[],
+    make: |_| Ok(Scenario::FreqFilter),
+};
+
+pub(crate) static DWT_PIPELINE: Family = Family {
+    name: "dwt-pipeline",
+    provider: "builtin",
+    description: "undecimated CDF 9/7 analysis/synthesis pipeline",
+    params: &[param("levels", INT, "2", "1..=4")],
+    make: |a| Ok(Scenario::DwtPipeline { levels: a.int()? }),
+};
+
+pub(crate) static DWT_DECIMATED: Family = Family {
+    name: "dwt-decimated",
+    provider: "builtin",
+    description: "decimated CDF 9/7 octave codec (true multirate; npsd divisible by 2^levels)",
+    params: &[param("levels", INT, "2", "1..=4")],
+    make: |a| Ok(Scenario::DwtDecimated { levels: a.int()? }),
+};
+
+pub(crate) static DWT_PACKET: Family = Family {
+    name: "dwt-packet",
+    provider: "builtin",
+    description: "decimated CDF 9/7 wavelet-packet bank (2^depth uniform subbands)",
+    params: &[param("depth", INT, "2", "1..=3")],
+    make: |a| Ok(Scenario::DwtPacket { depth: a.int()? }),
+};
+
+pub(crate) static RANDOM_SFG: Family = Family {
+    name: "random-sfg",
+    provider: "builtin",
+    description: "seeded random chain-with-forks DAG",
+    params: &[param("nodes", INT, "12", "1..=256"), param("seed", INT, "1", "u64")],
+    make: |a| Ok(Scenario::RandomSfg { nodes: a.int()?, seed: a.int()? }),
+};
+
+// The measured-signal families: the noise model is *estimated from a
+// seeded trace* by `psdacc-estim` rather than derived from quantization
+// formulas. Determinism per seed is what makes them fleet-safe: every
+// daemon rebuilding the scenario from its spec line reproduces the trace,
+// hence the spectrum, bit-identically.
+
+pub(crate) static MEASURED_WELCH: Family = Family {
+    name: "measured-welch",
+    provider: "estim",
+    description: "Welch-estimated PSD of a seeded AR(1)+DC trace as a measured source",
+    params: &[
+        param("samples", INT, "4096", "256..=65536"),
+        param("seed", INT, "1", "u64"),
+        param("nfft", INT, "256", "power of two, 8..=16384, <= samples"),
+        param("overlap", FLOAT, "0.5", "[0, 0.95]"),
+        param("window", STR, "hann", "rect | hann | hamming | blackman | kaiser"),
+        ParamSpec {
+            name: "beta",
+            kind: FLOAT,
+            required: false,
             default: None,
-            constraint: "0..147",
-        }],
+            constraint: "kaiser shape, required iff window=kaiser",
+        },
+        param("taps", INT, "31", "3..=255"),
+    ],
+    make: |a| {
+        let (samples, seed, nfft, overlap) = (a.int()?, a.int()?, a.int()?, a.float()?);
+        let (window, beta) = (a.text()?, a.opt_float()?);
+        // One spelling per window (`rectangular` is stored as `rect`), so
+        // equal windows share one key; a bad name fails in `validate`.
+        let window =
+            psdacc_estim::WelchWindow::parse(window, beta).map_or(window, |w| w.name()).to_string();
+        Ok(Scenario::MeasuredWelch { samples, seed, nfft, overlap, window, beta, taps: a.int()? })
     },
-    BuiltinFamily {
-        name: "iir-bank",
-        description: "one IIR of the paper's Table I population",
-        params: &[ParamSpec {
-            name: "index",
-            kind: "int",
-            required: true,
-            default: None,
-            constraint: "0..147",
-        }],
+};
+
+pub(crate) static CROSS_SPECTRUM: Family = Family {
+    name: "cross-spectrum",
+    provider: "estim",
+    description: "two-channel cross-spectrum estimate rejecting uncorrelated sensor noise",
+    params: &[
+        param("samples", INT, "8192", "256..=65536"),
+        param("seed", INT, "1", "u64"),
+        param("nfft", INT, "128", "power of two, 8..=16384, <= samples"),
+        param("overlap", FLOAT, "0.5", "[0, 0.95]"),
+        param("snr", FLOAT, "0", "-40..=80 dB common-to-independent ratio"),
+        param("taps", INT, "31", "3..=255"),
+    ],
+    make: |a| {
+        Ok(Scenario::CrossSpectrum {
+            samples: a.int()?,
+            seed: a.int()?,
+            nfft: a.int()?,
+            overlap: a.float()?,
+            snr: a.float()?,
+            taps: a.int()?,
+        })
     },
-    BuiltinFamily {
-        name: "fir-cascade",
-        description: "chain of identical lowpass FIR stages",
-        params: &[
-            ParamSpec {
-                name: "stages",
-                kind: "int",
-                required: false,
-                default: Some("2"),
-                constraint: "1..=16",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("31"),
-                constraint: "3..=255",
-            },
-            ParamSpec {
-                name: "cutoff",
-                kind: "float",
-                required: false,
-                default: Some("0.2"),
-                constraint: "(0, 0.5)",
-            },
-        ],
+};
+
+pub(crate) static SIGMA_DELTA: Family = Family {
+    name: "sigma-delta",
+    provider: "estim",
+    description: "bit-true sigma-delta modulator error spectrum feeding the decimation filter",
+    params: &[
+        param("order", INT, "2", "1..=2"),
+        param("osr", INT, "16", "power of two, 4..=128"),
+        param("amp", FLOAT, "0.5", "(0, 1]"),
+        param("samples", INT, "16384", "256..=65536"),
+        param("seed", INT, "1", "u64"),
+        param("nfft", INT, "1024", "power of two, >= 8*osr, <= samples"),
+        param("taps", INT, "63", "3..=255"),
+    ],
+    make: |a| {
+        Ok(Scenario::SigmaDelta {
+            order: a.int()?,
+            osr: a.int()?,
+            amp: a.float()?,
+            samples: a.int()?,
+            seed: a.int()?,
+            nfft: a.int()?,
+            taps: a.int()?,
+        })
     },
-    BuiltinFamily {
-        name: "iir-cascade",
-        description: "chain of identical Butterworth IIR stages",
-        params: &[
-            ParamSpec {
-                name: "stages",
-                kind: "int",
-                required: false,
-                default: Some("2"),
-                constraint: "1..=16",
-            },
-            ParamSpec {
-                name: "order",
-                kind: "int",
-                required: false,
-                default: Some("4"),
-                constraint: "1..=10",
-            },
-            ParamSpec {
-                name: "cutoff",
-                kind: "float",
-                required: false,
-                default: Some("0.2"),
-                constraint: "(0, 0.5)",
-            },
-        ],
-    },
-    BuiltinFamily {
-        name: "freq-filter",
-        description: "Fig. 2 band-pass chain (prefilter + highpass)",
-        params: &[],
-    },
-    BuiltinFamily {
-        name: "dwt-pipeline",
-        description: "undecimated CDF 9/7 analysis/synthesis pipeline",
-        params: &[ParamSpec {
-            name: "levels",
-            kind: "int",
-            required: false,
-            default: Some("2"),
-            constraint: "1..=4",
-        }],
-    },
-    BuiltinFamily {
-        name: "dwt-decimated",
-        description: "decimated CDF 9/7 octave codec (true multirate; npsd divisible by 2^levels)",
-        params: &[ParamSpec {
-            name: "levels",
-            kind: "int",
-            required: false,
-            default: Some("2"),
-            constraint: "1..=4",
-        }],
-    },
-    BuiltinFamily {
-        name: "dwt-packet",
-        description: "decimated CDF 9/7 wavelet-packet bank (2^depth uniform subbands)",
-        params: &[ParamSpec {
-            name: "depth",
-            kind: "int",
-            required: false,
-            default: Some("2"),
-            constraint: "1..=3",
-        }],
-    },
-    BuiltinFamily {
-        name: "random-sfg",
-        description: "seeded random chain-with-forks DAG",
-        params: &[
-            ParamSpec {
-                name: "nodes",
-                kind: "int",
-                required: false,
-                default: Some("12"),
-                constraint: "1..=256",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-        ],
-    },
+};
+
+/// Every static family in serving order: builtin, then estim.
+static FAMILIES: [&Family; 12] = [
+    &FIR_BANK,
+    &IIR_BANK,
+    &FIR_CASCADE,
+    &IIR_CASCADE,
+    &FREQ_FILTER,
+    &DWT_PIPELINE,
+    &DWT_DECIMATED,
+    &DWT_PACKET,
+    &RANDOM_SFG,
+    &MEASURED_WELCH,
+    &CROSS_SPECTRUM,
+    &SIGMA_DELTA,
 ];
 
-impl ScenarioProvider for BuiltinProvider {
-    fn provider_name(&self) -> &'static str {
-        "builtin"
-    }
+/// Most parameters any family has (`measured-welch`, `sigma-delta`).
+const MAX_PARAMS: usize = 7;
 
-    fn families(&self) -> Vec<FamilyInfo> {
-        BUILTIN_FAMILIES
-            .iter()
-            .map(|f| FamilyInfo {
-                name: f.name.to_string(),
-                provider: "builtin",
-                description: f.description.to_string(),
-                params: f.params.to_vec(),
-            })
-            .collect()
-    }
+/// One parameter value as rendered in keys and spec lines.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Param<'a> {
+    Int(u64),
+    Float(f64),
+    Str(&'a str),
+    /// An optional parameter left out (`beta` off the kaiser window).
+    Omitted,
+}
 
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError> {
-        let Some(family) = BUILTIN_FAMILIES.iter().find(|f| f.name == name) else {
-            return Ok(None);
-        };
-        for key in params.keys() {
-            if !family.params.iter().any(|p| p.name == key) {
-                let allowed: Vec<&str> = family.params.iter().map(|p| p.name).collect();
-                return Err(EngineError::Scenario(format!(
-                    "{name}: unknown parameter `{key}` (allowed: {})",
-                    if allowed.is_empty() { "none".to_string() } else { allowed.join(", ") }
-                )));
-            }
+impl From<usize> for Param<'_> {
+    fn from(v: usize) -> Self {
+        Param::Int(v as u64)
+    }
+}
+
+impl From<u64> for Param<'_> {
+    fn from(v: u64) -> Self {
+        Param::Int(v)
+    }
+}
+
+impl From<f64> for Param<'_> {
+    fn from(v: f64) -> Self {
+        Param::Float(v)
+    }
+}
+
+impl fmt::Display for Param<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Param::Int(v) => write!(f, "{v}"),
+            Param::Float(v) => write!(f, "{v}"),
+            Param::Str(v) => f.write_str(v),
+            Param::Omitted => Ok(()),
         }
-        let get_usize = |key: &str, default: Option<usize>| -> Result<usize, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be an integer, got `{v}`"))
-                }),
-                None => default.ok_or_else(|| {
-                    EngineError::Scenario(format!("{name}: missing required parameter `{key}`"))
-                }),
-            }
-        };
-        let get_f64 = |key: &str, default: f64| -> Result<f64, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be a number, got `{v}`"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let scenario = match name {
-            "fir-bank" => Scenario::FirBank { index: get_usize("index", None)? },
-            "iir-bank" => Scenario::IirBank { index: get_usize("index", None)? },
-            "fir-cascade" => Scenario::FirCascade {
-                stages: get_usize("stages", Some(2))?,
-                taps: get_usize("taps", Some(31))?,
-                cutoff: get_f64("cutoff", 0.2)?,
-            },
-            "iir-cascade" => Scenario::IirCascade {
-                stages: get_usize("stages", Some(2))?,
-                order: get_usize("order", Some(4))?,
-                cutoff: get_f64("cutoff", 0.2)?,
-            },
-            "freq-filter" => Scenario::FreqFilter,
-            "dwt-pipeline" => Scenario::DwtPipeline { levels: get_usize("levels", Some(2))? },
-            "dwt-decimated" => Scenario::DwtDecimated { levels: get_usize("levels", Some(2))? },
-            "dwt-packet" => Scenario::DwtPacket { depth: get_usize("depth", Some(2))? },
-            "random-sfg" => Scenario::RandomSfg {
-                nodes: get_usize("nodes", Some(12))?,
-                seed: get_usize("seed", Some(1))? as u64,
-            },
-            _ => unreachable!("family table matched above"),
-        };
+    }
+}
+
+/// A family row with one scenario's parameter values in schema order.
+pub(crate) struct Row<'a> {
+    family: &'static Family,
+    values: [Param<'a>; MAX_PARAMS],
+}
+
+impl Family {
+    /// Parses one spec line's parameters: unknown keys are rejected,
+    /// omitted ones take the schema default, and ranges are validated.
+    fn parse(&self, given: &BTreeMap<String, String>) -> Result<Scenario, EngineError> {
+        if let Some(key) = given.keys().find(|k| !self.params.iter().any(|p| p.name == *k)) {
+            let allowed: Vec<&str> = self.params.iter().map(|p| p.name).collect();
+            return Err(EngineError::Scenario(format!(
+                "{}: unknown parameter `{key}` (allowed: {})",
+                self.name,
+                if allowed.is_empty() { "none".to_string() } else { allowed.join(", ") }
+            )));
+        }
+        let mut args = Args { family: self, given, next: 0 };
+        let scenario = (self.make)(&mut args)?;
+        debug_assert_eq!(args.next, self.params.len(), "{}: every parameter is read", self.name);
         // Range errors surface at parse time (with the spec's line number);
         // the full graph build is deferred to the evaluator cache so design
         // work is not paid twice per scenario.
         scenario.validate()?;
-        Ok(Some(scenario))
-    }
-}
-
-/// The 3 measured-signal families (PR 10): scenarios whose noise model is
-/// *estimated from a seeded trace* by `psdacc-estim` rather than derived
-/// from quantization formulas. Determinism per seed is what makes them
-/// fleet-safe: every daemon rebuilding the scenario from its spec line
-/// reproduces the trace, hence the spectrum, bit-identically.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EstimProvider;
-
-const ESTIM_FAMILIES: &[BuiltinFamily] = &[
-    BuiltinFamily {
-        name: "measured-welch",
-        description: "Welch-estimated PSD of a seeded AR(1)+DC trace as a measured source",
-        params: &[
-            ParamSpec {
-                name: "samples",
-                kind: "int",
-                required: false,
-                default: Some("4096"),
-                constraint: "256..=65536",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-            ParamSpec {
-                name: "nfft",
-                kind: "int",
-                required: false,
-                default: Some("256"),
-                constraint: "power of two, 8..=16384, <= samples",
-            },
-            ParamSpec {
-                name: "overlap",
-                kind: "float",
-                required: false,
-                default: Some("0.5"),
-                constraint: "[0, 0.95]",
-            },
-            ParamSpec {
-                name: "window",
-                kind: "str",
-                required: false,
-                default: Some("hann"),
-                constraint: "hann | kaiser",
-            },
-            ParamSpec {
-                name: "beta",
-                kind: "float",
-                required: false,
-                default: None,
-                constraint: "kaiser shape, required iff window=kaiser",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("31"),
-                constraint: "3..=255",
-            },
-        ],
-    },
-    BuiltinFamily {
-        name: "cross-spectrum",
-        description: "two-channel cross-spectrum estimate rejecting uncorrelated sensor noise",
-        params: &[
-            ParamSpec {
-                name: "samples",
-                kind: "int",
-                required: false,
-                default: Some("8192"),
-                constraint: "256..=65536",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-            ParamSpec {
-                name: "nfft",
-                kind: "int",
-                required: false,
-                default: Some("128"),
-                constraint: "power of two, 8..=16384, <= samples",
-            },
-            ParamSpec {
-                name: "overlap",
-                kind: "float",
-                required: false,
-                default: Some("0.5"),
-                constraint: "[0, 0.95]",
-            },
-            ParamSpec {
-                name: "snr",
-                kind: "float",
-                required: false,
-                default: Some("0"),
-                constraint: "-40..=80 dB common-to-independent ratio",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("31"),
-                constraint: "3..=255",
-            },
-        ],
-    },
-    BuiltinFamily {
-        name: "sigma-delta",
-        description: "bit-true sigma-delta modulator error spectrum feeding the decimation filter",
-        params: &[
-            ParamSpec {
-                name: "order",
-                kind: "int",
-                required: false,
-                default: Some("2"),
-                constraint: "1..=2",
-            },
-            ParamSpec {
-                name: "osr",
-                kind: "int",
-                required: false,
-                default: Some("16"),
-                constraint: "power of two, 4..=128",
-            },
-            ParamSpec {
-                name: "amp",
-                kind: "float",
-                required: false,
-                default: Some("0.5"),
-                constraint: "(0, 1]",
-            },
-            ParamSpec {
-                name: "samples",
-                kind: "int",
-                required: false,
-                default: Some("16384"),
-                constraint: "256..=65536",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-            ParamSpec {
-                name: "nfft",
-                kind: "int",
-                required: false,
-                default: Some("1024"),
-                constraint: "power of two, >= 8*osr, <= samples",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("63"),
-                constraint: "3..=255",
-            },
-        ],
-    },
-];
-
-impl ScenarioProvider for EstimProvider {
-    fn provider_name(&self) -> &'static str {
-        "estim"
+        Ok(scenario)
     }
 
-    fn families(&self) -> Vec<FamilyInfo> {
-        ESTIM_FAMILIES
-            .iter()
-            .map(|f| FamilyInfo {
-                name: f.name.to_string(),
-                provider: "estim",
-                description: f.description.to_string(),
-                params: f.params.to_vec(),
-            })
-            .collect()
-    }
-
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError> {
-        let Some(family) = ESTIM_FAMILIES.iter().find(|f| f.name == name) else {
-            return Ok(None);
-        };
-        for key in params.keys() {
-            if !family.params.iter().any(|p| p.name == key) {
-                let allowed: Vec<&str> = family.params.iter().map(|p| p.name).collect();
-                return Err(EngineError::Scenario(format!(
-                    "{name}: unknown parameter `{key}` (allowed: {})",
-                    allowed.join(", ")
-                )));
-            }
+    fn info(&self) -> FamilyInfo {
+        FamilyInfo {
+            name: self.name.to_string(),
+            provider: self.provider,
+            description: self.description.to_string(),
+            params: self.params.to_vec(),
         }
-        let get_usize = |key: &str, default: usize| -> Result<usize, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be an integer, got `{v}`"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let get_f64 = |key: &str, default: f64| -> Result<f64, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be a number, got `{v}`"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let get_f64_opt = |key: &str| -> Result<Option<f64>, EngineError> {
-            params
-                .get(key)
-                .map(|v| {
-                    v.parse().map_err(|_| {
-                        EngineError::Scenario(format!(
-                            "{name}: `{key}` must be a number, got `{v}`"
-                        ))
-                    })
-                })
-                .transpose()
-        };
-        let scenario = match name {
-            "measured-welch" => Scenario::MeasuredWelch {
-                samples: get_usize("samples", 4096)?,
-                seed: get_usize("seed", 1)? as u64,
-                nfft: get_usize("nfft", 256)?,
-                overlap: get_f64("overlap", 0.5)?,
-                window: params.get("window").cloned().unwrap_or_else(|| "hann".to_string()),
-                beta: get_f64_opt("beta")?,
-                taps: get_usize("taps", 31)?,
-            },
-            "cross-spectrum" => Scenario::CrossSpectrum {
-                samples: get_usize("samples", 8192)?,
-                seed: get_usize("seed", 1)? as u64,
-                nfft: get_usize("nfft", 128)?,
-                overlap: get_f64("overlap", 0.5)?,
-                snr: get_f64("snr", 0.0)?,
-                taps: get_usize("taps", 31)?,
-            },
-            "sigma-delta" => Scenario::SigmaDelta {
-                order: get_usize("order", 2)?,
-                osr: get_usize("osr", 16)?,
-                amp: get_f64("amp", 0.5)?,
-                samples: get_usize("samples", 16384)?,
-                seed: get_usize("seed", 1)? as u64,
-                nfft: get_usize("nfft", 1024)?,
-                taps: get_usize("taps", 63)?,
-            },
-            _ => unreachable!("family table matched above"),
-        };
-        scenario.validate()?;
-        Ok(Some(scenario))
+    }
+
+    /// Pairs the row with `given`, one value per parameter in schema order.
+    pub(crate) fn row<'a>(&'static self, given: &[Param<'a>]) -> Row<'a> {
+        debug_assert_eq!(given.len(), self.params.len(), "{}: one value per parameter", self.name);
+        let mut values = [Param::Omitted; MAX_PARAMS];
+        values[..given.len()].copy_from_slice(given);
+        Row { family: self, values }
     }
 }
 
-/// Runtime-defined graph scenarios, registered by name. Registration is
-/// concurrency-safe (a daemon registers from connection threads while
-/// others parse), and redefinition under the same name simply replaces
-/// the entry — content-hash identity keeps caches and stores correct
-/// either way.
-#[derive(Debug, Default)]
-pub struct GraphProvider {
-    graphs: RwLock<BTreeMap<String, GraphScenario>>,
+impl Row<'_> {
+    /// Renders the family name and each present `param=value`: `open`
+    /// before the first, `sep` between, `close` after the last (neither
+    /// when no parameter is present). One `String`, no per-field
+    /// allocation — keys are rendered per job.
+    pub(crate) fn render(&self, open: char, sep: char, close: &str) -> String {
+        let mut out = String::with_capacity(96);
+        out.push_str(self.family.name);
+        let mut first = true;
+        for (p, value) in self.family.params.iter().zip(&self.values) {
+            if let Param::Omitted = value {
+                continue;
+            }
+            out.push(if first { open } else { sep });
+            first = false;
+            write!(out, "{}={value}", p.name).expect("writing to a String cannot fail");
+        }
+        if !first {
+            out.push_str(close);
+        }
+        out
+    }
 }
 
-impl GraphProvider {
-    /// Validates and registers `spec` under `name`, returning the
-    /// content-addressed scenario. Idempotent for identical content.
+/// One spec line's parameters as a family's `make` reads them: in schema
+/// order, each read taking the given text or else the schema default.
+struct Args<'a> {
+    family: &'a Family,
+    given: &'a BTreeMap<String, String>,
+    next: usize,
+}
+
+impl<'a> Args<'a> {
+    /// The next parameter's name and text; `None` text for an omitted
+    /// optional parameter without a default.
+    fn next(&mut self, kind: &str) -> Result<(&'static str, Option<&'a str>), EngineError> {
+        let p = &self.family.params[self.next];
+        debug_assert_eq!(p.kind, kind, "{}: `{}` read out of order", self.family.name, p.name);
+        self.next += 1;
+        let text = self.given.get(p.name).map(String::as_str).or(p.default);
+        if text.is_none() && p.required {
+            return Err(EngineError::Scenario(format!(
+                "{}: missing required parameter `{}`",
+                self.family.name, p.name
+            )));
+        }
+        Ok((p.name, text))
+    }
+
+    fn int<T: TryFrom<u64>>(&mut self) -> Result<T, EngineError> {
+        let (key, text) = self.next(INT)?;
+        let text = text.expect("int parameters are required or defaulted");
+        text.parse::<u64>()
+            .ok()
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| self.malformed(key, "an integer", text))
+    }
+
+    fn opt_float(&mut self) -> Result<Option<f64>, EngineError> {
+        let (key, text) = self.next(FLOAT)?;
+        text.map(|t| t.parse().map_err(|_| self.malformed(key, "a number", t))).transpose()
+    }
+
+    fn float(&mut self) -> Result<f64, EngineError> {
+        Ok(self.opt_float()?.expect("float parameters other than `beta` are defaulted"))
+    }
+
+    fn text(&mut self) -> Result<&'a str, EngineError> {
+        Ok(self.next(STR)?.1.expect("str parameters are defaulted"))
+    }
+
+    fn malformed(&self, key: &str, what: &str, text: &str) -> EngineError {
+        EngineError::Scenario(format!("{}: `{key}` must be {what}, got `{text}`", self.family.name))
+    }
+}
+
+/// The static families plus the runtime-defined named graphs, and the
+/// handle for graph definition. Inline `graph={...}` scenario text needs
+/// no registration — the JSON *is* the definition.
+#[derive(Debug, Clone, Default)]
+pub struct ScenarioRegistry {
+    /// Named graphs, shared by every clone. Redefinition under a name
+    /// replaces the entry — content-hash identity keeps caches and stores
+    /// correct either way.
+    graphs: Arc<RwLock<BTreeMap<String, GraphScenario>>>,
+}
+
+impl ScenarioRegistry {
+    /// The builtin and measured-signal families, no named graphs.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Validates and registers a named graph scenario. Rejects names that
+    /// shadow a static family (a registered graph must never change what
+    /// `fir-bank` means). Idempotent for identical content.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Scenario`] for an ill-formed name,
+    /// [`EngineError::Scenario`] for a reserved or ill-formed name,
     /// [`EngineError::GraphSpec`] for a defective spec.
-    pub fn register(&self, name: &str, graph: GraphSpec) -> Result<GraphScenario, EngineError> {
+    pub fn define_graph(&self, name: &str, graph: GraphSpec) -> Result<GraphScenario, EngineError> {
+        if name == "graph" || FAMILIES.iter().any(|f| f.name == name) {
+            return Err(EngineError::Scenario(format!(
+                "scenario name `{name}` is reserved (builtin family)"
+            )));
+        }
         if !spec::is_valid_name(name) {
             return Err(EngineError::Scenario(format!(
                 "bad scenario name `{name}` (1..={} characters of [A-Za-z0-9_.-])",
@@ -654,112 +519,6 @@ impl GraphProvider {
         Ok(scenario)
     }
 
-    /// The registered scenario for `name`, if any.
-    pub fn get(&self, name: &str) -> Option<GraphScenario> {
-        self.graphs.read().expect("graph registry lock poisoned").get(name).cloned()
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.graphs.read().expect("graph registry lock poisoned").len()
-    }
-
-    /// `true` when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ScenarioProvider for GraphProvider {
-    fn provider_name(&self) -> &'static str {
-        "dynamic"
-    }
-
-    fn families(&self) -> Vec<FamilyInfo> {
-        self.graphs
-            .read()
-            .expect("graph registry lock poisoned")
-            .iter()
-            .map(|(name, g)| FamilyInfo {
-                name: name.clone(),
-                provider: "dynamic",
-                description: format!(
-                    "runtime-defined graph ({} nodes, {})",
-                    g.spec().nodes.len(),
-                    g.key()
-                ),
-                params: Vec::new(),
-            })
-            .collect()
-    }
-
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError> {
-        let Some(scenario) = self.get(name) else { return Ok(None) };
-        if let Some(key) = params.keys().next() {
-            return Err(EngineError::Scenario(format!(
-                "{name}: registered graph scenarios take no parameters (got `{key}`)"
-            )));
-        }
-        Ok(Some(Scenario::Graph(scenario)))
-    }
-}
-
-/// The provider chain spec parsers consult, plus the handle for runtime
-/// graph definition. [`ScenarioRegistry::new`] gives the default chain:
-/// the builtin families and an empty dynamic provider; inline
-/// `graph={...}` scenario text is handled by the registry itself (it
-/// needs no provider — the JSON *is* the definition).
-#[derive(Debug, Clone)]
-pub struct ScenarioRegistry {
-    providers: Vec<Arc<dyn ScenarioProvider>>,
-    dynamic: Arc<GraphProvider>,
-}
-
-impl Default for ScenarioRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ScenarioRegistry {
-    /// Builtin + measured-signal families + an empty dynamic provider.
-    pub fn new() -> Self {
-        let dynamic = Arc::new(GraphProvider::default());
-        ScenarioRegistry {
-            providers: vec![Arc::new(BuiltinProvider), Arc::new(EstimProvider), dynamic.clone()],
-            dynamic,
-        }
-    }
-
-    /// Appends a custom provider (consulted after the defaults).
-    pub fn with_provider(mut self, provider: Arc<dyn ScenarioProvider>) -> Self {
-        self.providers.push(provider);
-        self
-    }
-
-    /// Validates and registers a named graph scenario. Rejects names that
-    /// shadow a builtin family (a registered graph must never change what
-    /// `fir-bank` means).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] / [`EngineError::GraphSpec`].
-    pub fn define_graph(&self, name: &str, graph: GraphSpec) -> Result<GraphScenario, EngineError> {
-        if name == "graph"
-            || BUILTIN_FAMILIES.iter().any(|f| f.name == name)
-            || ESTIM_FAMILIES.iter().any(|f| f.name == name)
-        {
-            return Err(EngineError::Scenario(format!(
-                "scenario name `{name}` is reserved (builtin family)"
-            )));
-        }
-        self.dynamic.register(name, graph)
-    }
-
     /// [`ScenarioRegistry::define_graph`] over raw JSON text.
     ///
     /// # Errors
@@ -770,10 +529,10 @@ impl ScenarioRegistry {
     }
 
     /// Loads `NAME=FILE` graph definitions — the repeatable `--graph` flag
-    /// shared by the `psdacc-engine` / `psdacc-serve` / `psdacc-sched`
-    /// CLIs. Each file's JSON is registered under its name, and the
-    /// wire-ready `(name, canonical JSON)` pairs are returned for
-    /// forwarding to daemons via `define_scenario`.
+    /// of the `psdacc-engine` and `psdacc-sched` CLIs. Each file's JSON is
+    /// registered under its name, and the wire-ready `(name, canonical
+    /// JSON)` pairs are returned for forwarding to daemons via
+    /// `define_scenario`.
     ///
     /// # Errors
     ///
@@ -831,27 +590,33 @@ impl ScenarioRegistry {
 
     /// Number of dynamically registered scenarios.
     pub fn dynamic_count(&self) -> usize {
-        self.dynamic.len()
+        self.graphs.read().expect("graph registry lock poisoned").len()
     }
 
-    /// The dynamic provider (for direct lookups).
-    pub fn dynamic(&self) -> &GraphProvider {
-        &self.dynamic
-    }
-
-    /// Every family currently served, builtins first, then dynamic and
-    /// custom providers in registration order.
+    /// Every family currently served: the static table (builtin, then
+    /// estim), then the named graphs in name order.
     pub fn families(&self) -> Vec<FamilyInfo> {
-        self.providers.iter().flat_map(|p| p.families()).collect()
+        let graphs = self.graphs.read().expect("graph registry lock poisoned");
+        let dynamic = graphs.iter().map(|(name, g)| FamilyInfo {
+            name: name.clone(),
+            provider: "dynamic",
+            description: format!(
+                "runtime-defined graph ({} nodes, {})",
+                g.spec().nodes.len(),
+                g.key()
+            ),
+            params: Vec::new(),
+        });
+        FAMILIES.iter().map(|f| f.info()).chain(dynamic).collect()
     }
 
-    /// Parses `name` + params by consulting the provider chain in order.
+    /// Parses `name` + params against the family table, then the named
+    /// graphs.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Scenario`] when no provider serves `name` (listing
-    /// everything that is served) or when the owning provider rejects the
-    /// parameters.
+    /// [`EngineError::Scenario`] when nothing serves `name` (listing
+    /// everything that is served) or when the parameters are invalid.
     pub fn parse(
         &self,
         name: &str,
@@ -863,10 +628,17 @@ impl ScenarioRegistry {
                     .to_string(),
             ));
         }
-        for provider in &self.providers {
-            if let Some(scenario) = provider.parse(name, params)? {
-                return Ok(scenario);
+        if let Some(family) = FAMILIES.iter().find(|f| f.name == name) {
+            return family.parse(params);
+        }
+        let graph = self.graphs.read().expect("graph registry lock poisoned").get(name).cloned();
+        if let Some(graph) = graph {
+            if let Some(key) = params.keys().next() {
+                return Err(EngineError::Scenario(format!(
+                    "{name}: registered graph scenarios take no parameters (got `{key}`)"
+                )));
             }
+            return Ok(Scenario::Graph(graph));
         }
         let known: Vec<String> = self.families().iter().map(|f| f.name.clone()).collect();
         Err(EngineError::Scenario(format!(

@@ -7,8 +7,9 @@
 //! them run through the one shared [`psdacc_core::AccuracyEvaluator`]
 //! front-end and its cached preprocessing.
 //!
-//! The scenario space is **open**: besides the builtin families below
-//! (served by [`crate::provider::BuiltinProvider`]), any system expressible
+//! The scenario space is **open**: besides the static families (the
+//! builtin ones below and the measured-signal ones, each written once in
+//! the family table of [`crate::provider`]), any system expressible
 //! as a [`psdacc_sfg::GraphSpec`] is a scenario — inline in a batch spec
 //! (`scenario graph={...}`), or registered under a name at runtime (the
 //! `define_scenario` wire verb; [`crate::provider::ScenarioRegistry`]).
@@ -36,8 +37,6 @@
 //! `2^levels` (respectively `2^depth`) so every rate region gets an
 //! integer grid.
 
-use std::collections::BTreeMap;
-
 use psdacc_filters::{butterworth, design_fir, BandSpec};
 use psdacc_sfg::{Block, NodeId, Sfg};
 use psdacc_systems::FreqFilterSystem;
@@ -47,7 +46,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::EngineError;
 use crate::graphspec::GraphScenario;
-use crate::provider::ScenarioRegistry;
+use crate::provider::{
+    Param, Row, CROSS_SPECTRUM, DWT_DECIMATED, DWT_PACKET, DWT_PIPELINE, FIR_BANK, FIR_CASCADE,
+    FREQ_FILTER, IIR_BANK, IIR_CASCADE, MEASURED_WELCH, RANDOM_SFG, SIGMA_DELTA,
+};
 
 /// A named, parameterized system generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,8 +124,8 @@ pub enum Scenario {
         nfft: usize,
         /// Segment overlap fraction.
         overlap: f64,
-        /// Window name (`rectangular`, `hann`, `hamming`, `blackman`,
-        /// `kaiser`).
+        /// Window name in its canonical spelling (`rect`, `hann`,
+        /// `hamming`, `blackman`, `kaiser`).
         window: String,
         /// Kaiser shape parameter (required iff `window == "kaiser"`).
         beta: Option<f64>,
@@ -172,7 +174,7 @@ pub enum Scenario {
     /// A runtime-defined declarative graph ([`psdacc_sfg::GraphSpec`]),
     /// identified by the content hash of its canonical JSON. Inline in
     /// specs as `graph={...}`, or registered under a name via
-    /// [`ScenarioRegistry::define_graph`] / the serve `define_scenario`
+    /// [`crate::ScenarioRegistry::define_graph`] / the serve `define_scenario`
     /// verb.
     Graph(GraphScenario),
 }
@@ -182,44 +184,8 @@ impl Scenario {
     /// engine results. Two scenarios with equal keys build identical graphs.
     pub fn key(&self) -> String {
         match self {
-            Scenario::FirBank { index } => format!("fir-bank[index={index}]"),
-            Scenario::IirBank { index } => format!("iir-bank[index={index}]"),
-            Scenario::FirCascade { stages, taps, cutoff } => {
-                format!("fir-cascade[stages={stages},taps={taps},cutoff={cutoff}]")
-            }
-            Scenario::IirCascade { stages, order, cutoff } => {
-                format!("iir-cascade[stages={stages},order={order},cutoff={cutoff}]")
-            }
-            Scenario::FreqFilter => "freq-filter".to_string(),
-            Scenario::DwtPipeline { levels } => format!("dwt-pipeline[levels={levels}]"),
-            Scenario::DwtDecimated { levels } => format!("dwt-decimated[levels={levels}]"),
-            Scenario::DwtPacket { depth } => format!("dwt-packet[depth={depth}]"),
-            Scenario::RandomSfg { nodes, seed } => {
-                format!("random-sfg[nodes={nodes},seed={seed}]")
-            }
-            Scenario::MeasuredWelch { samples, seed, nfft, overlap, window, beta, taps } => {
-                let beta = match beta {
-                    Some(b) => format!(",beta={b}"),
-                    None => String::new(),
-                };
-                format!(
-                    "measured-welch[samples={samples},seed={seed},nfft={nfft},\
-                     overlap={overlap},window={window}{beta},taps={taps}]"
-                )
-            }
-            Scenario::CrossSpectrum { samples, seed, nfft, overlap, snr, taps } => {
-                format!(
-                    "cross-spectrum[samples={samples},seed={seed},nfft={nfft},\
-                     overlap={overlap},snr={snr},taps={taps}]"
-                )
-            }
-            Scenario::SigmaDelta { order, osr, amp, samples, seed, nfft, taps } => {
-                format!(
-                    "sigma-delta[order={order},osr={osr},amp={amp},samples={samples},\
-                     seed={seed},nfft={nfft},taps={taps}]"
-                )
-            }
             Scenario::Graph(g) => g.key(),
+            _ => self.row().render('[', ',', "]"),
         }
     }
 
@@ -361,10 +327,10 @@ impl Scenario {
     }
 
     /// Renders the scenario in batch-spec syntax (`name key=value ...`) —
-    /// the wire form `psdacc-serve` ships to daemons. Round-trips through
-    /// [`Scenario::parse_spec_line`] to an identical scenario (`f64`
-    /// `Display` is shortest-round-trip, so float parameters survive
-    /// bit-exactly).
+    /// the wire form the `psdacc-sched` coordinator ships to daemons.
+    /// Round-trips through [`crate::ScenarioRegistry::parse_spec_line`] to an
+    /// identical scenario (`f64` `Display` is shortest-round-trip, so float
+    /// parameters survive bit-exactly).
     ///
     /// Graph scenarios render as their registration name when they have
     /// one (the receiving daemon resolves it against its registry — which
@@ -373,73 +339,50 @@ impl Scenario {
     /// otherwise.
     pub fn to_spec_line(&self) -> String {
         match self {
-            Scenario::FirBank { index } => format!("fir-bank index={index}"),
-            Scenario::IirBank { index } => format!("iir-bank index={index}"),
-            Scenario::FirCascade { stages, taps, cutoff } => {
-                format!("fir-cascade stages={stages} taps={taps} cutoff={cutoff}")
-            }
-            Scenario::IirCascade { stages, order, cutoff } => {
-                format!("iir-cascade stages={stages} order={order} cutoff={cutoff}")
-            }
-            Scenario::FreqFilter => "freq-filter".to_string(),
-            Scenario::DwtPipeline { levels } => format!("dwt-pipeline levels={levels}"),
-            Scenario::DwtDecimated { levels } => format!("dwt-decimated levels={levels}"),
-            Scenario::DwtPacket { depth } => format!("dwt-packet depth={depth}"),
-            Scenario::RandomSfg { nodes, seed } => {
-                format!("random-sfg nodes={nodes} seed={seed}")
-            }
-            Scenario::MeasuredWelch { samples, seed, nfft, overlap, window, beta, taps } => {
-                let beta = match beta {
-                    Some(b) => format!(" beta={b}"),
-                    None => String::new(),
-                };
-                format!(
-                    "measured-welch samples={samples} seed={seed} nfft={nfft} \
-                     overlap={overlap} window={window}{beta} taps={taps}"
-                )
-            }
-            Scenario::CrossSpectrum { samples, seed, nfft, overlap, snr, taps } => {
-                format!(
-                    "cross-spectrum samples={samples} seed={seed} nfft={nfft} \
-                     overlap={overlap} snr={snr} taps={taps}"
-                )
-            }
-            Scenario::SigmaDelta { order, osr, amp, samples, seed, nfft, taps } => {
-                format!(
-                    "sigma-delta order={order} osr={osr} amp={amp} samples={samples} \
-                     seed={seed} nfft={nfft} taps={taps}"
-                )
-            }
             Scenario::Graph(g) => match g.name() {
                 Some(name) => name.to_string(),
                 None => format!("graph={}", g.canonical_json()),
             },
+            _ => self.row().render(' ', ' ', ""),
         }
     }
 
-    /// Parses one concrete scenario from `name key=value ...` text (no
-    /// sweep syntax — that lives in batch specs), against the default
-    /// provider set: the builtin families plus inline `graph={...}` JSON.
-    /// Named dynamic scenarios need a populated registry — use
-    /// [`ScenarioRegistry::parse_spec_line`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] on malformed tokens or invalid scenarios,
-    /// [`EngineError::GraphSpec`] for defective inline graphs.
-    pub fn parse_spec_line(text: &str) -> Result<Self, EngineError> {
-        ScenarioRegistry::new().parse_spec_line(text)
-    }
-
-    /// Parses `name key=value ...` tokens (the batch-spec scenario syntax)
-    /// against the default provider set — see [`Scenario::parse_spec_line`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] on unknown names, unknown/missing keys, or
-    /// malformed values.
-    pub fn parse(name: &str, params: &BTreeMap<String, String>) -> Result<Self, EngineError> {
-        ScenarioRegistry::new().parse(name, params)
+    /// The family-table row with this scenario's parameter values in
+    /// schema order — the one place a variant's fields are listed for
+    /// rendering. Graph scenarios render themselves.
+    fn row(&self) -> Row<'_> {
+        match *self {
+            Scenario::FirBank { index } => FIR_BANK.row(&[index.into()]),
+            Scenario::IirBank { index } => IIR_BANK.row(&[index.into()]),
+            Scenario::FirCascade { stages, taps, cutoff } => {
+                FIR_CASCADE.row(&[stages.into(), taps.into(), cutoff.into()])
+            }
+            Scenario::IirCascade { stages, order, cutoff } => {
+                IIR_CASCADE.row(&[stages.into(), order.into(), cutoff.into()])
+            }
+            Scenario::FreqFilter => FREQ_FILTER.row(&[]),
+            Scenario::DwtPipeline { levels } => DWT_PIPELINE.row(&[levels.into()]),
+            Scenario::DwtDecimated { levels } => DWT_DECIMATED.row(&[levels.into()]),
+            Scenario::DwtPacket { depth } => DWT_PACKET.row(&[depth.into()]),
+            Scenario::RandomSfg { nodes, seed } => RANDOM_SFG.row(&[nodes.into(), seed.into()]),
+            Scenario::MeasuredWelch { samples, seed, nfft, overlap, ref window, beta, taps } => {
+                let (window, beta) =
+                    (Param::Str(window), beta.map_or(Param::Omitted, Param::Float));
+                let (samples, seed, nfft, overlap) =
+                    (samples.into(), seed.into(), nfft.into(), overlap.into());
+                MEASURED_WELCH.row(&[samples, seed, nfft, overlap, window, beta, taps.into()])
+            }
+            Scenario::CrossSpectrum { samples, seed, nfft, overlap, snr, taps } => {
+                let (samples, seed, nfft) = (samples.into(), seed.into(), nfft.into());
+                CROSS_SPECTRUM.row(&[samples, seed, nfft, overlap.into(), snr.into(), taps.into()])
+            }
+            Scenario::SigmaDelta { order, osr, amp, samples, seed, nfft, taps } => {
+                let (order, osr, amp, samples) =
+                    (order.into(), osr.into(), amp.into(), samples.into());
+                SIGMA_DELTA.row(&[order, osr, amp, samples, seed.into(), nfft.into(), taps.into()])
+            }
+            Scenario::Graph(_) => unreachable!("graph scenarios render themselves"),
+        }
     }
 }
 
@@ -669,8 +612,9 @@ fn measured_graph(bins: Vec<f64>, mean: f64, taps: usize) -> Result<Sfg, EngineE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provider::ScenarioRegistry;
 
-    fn params(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
+    fn params(pairs: &[(&str, &str)]) -> std::collections::BTreeMap<String, String> {
         pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
@@ -682,19 +626,123 @@ mod tests {
             } else {
                 params(&[])
             };
-            let s = Scenario::parse(&family.name, &p)
+            let s = ScenarioRegistry::new()
+                .parse(&family.name, &p)
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name));
             let g = s.build().expect("default scenario builds");
             assert!(!g.outputs().is_empty(), "{}: output marked", family.name);
         }
     }
 
+    /// Store records and cache entries are addressed by `key()`, and fleet
+    /// units carry `to_spec_line()`: both strings are pinned exactly, for
+    /// every family's defaults and one non-default line.
     #[test]
-    fn keys_are_canonical_and_distinct() {
-        let a = Scenario::FirCascade { stages: 2, taps: 31, cutoff: 0.2 };
-        let b = Scenario::FirCascade { stages: 3, taps: 31, cutoff: 0.2 };
-        assert_ne!(a.key(), b.key());
-        assert_eq!(a.key(), "fir-cascade[stages=2,taps=31,cutoff=0.2]");
+    fn keys_and_spec_lines_are_pinned_for_every_family() {
+        let rows: &[(&str, &str, &str)] = &[
+            ("fir-bank index=0", "fir-bank[index=0]", "fir-bank index=0"),
+            ("fir-bank index=146", "fir-bank[index=146]", "fir-bank index=146"),
+            ("iir-bank index=3", "iir-bank[index=3]", "iir-bank index=3"),
+            ("iir-bank index=146", "iir-bank[index=146]", "iir-bank index=146"),
+            (
+                "fir-cascade",
+                "fir-cascade[stages=2,taps=31,cutoff=0.2]",
+                "fir-cascade stages=2 taps=31 cutoff=0.2",
+            ),
+            (
+                "fir-cascade stages=3 taps=15 cutoff=0.125",
+                "fir-cascade[stages=3,taps=15,cutoff=0.125]",
+                "fir-cascade stages=3 taps=15 cutoff=0.125",
+            ),
+            (
+                "iir-cascade",
+                "iir-cascade[stages=2,order=4,cutoff=0.2]",
+                "iir-cascade stages=2 order=4 cutoff=0.2",
+            ),
+            (
+                "iir-cascade cutoff=0.350 order=6 stages=1",
+                "iir-cascade[stages=1,order=6,cutoff=0.35]",
+                "iir-cascade stages=1 order=6 cutoff=0.35",
+            ),
+            ("freq-filter", "freq-filter", "freq-filter"),
+            ("dwt-pipeline", "dwt-pipeline[levels=2]", "dwt-pipeline levels=2"),
+            ("dwt-pipeline levels=4", "dwt-pipeline[levels=4]", "dwt-pipeline levels=4"),
+            ("dwt-decimated", "dwt-decimated[levels=2]", "dwt-decimated levels=2"),
+            ("dwt-decimated levels=1", "dwt-decimated[levels=1]", "dwt-decimated levels=1"),
+            ("dwt-packet", "dwt-packet[depth=2]", "dwt-packet depth=2"),
+            ("dwt-packet depth=3", "dwt-packet[depth=3]", "dwt-packet depth=3"),
+            ("random-sfg", "random-sfg[nodes=12,seed=1]", "random-sfg nodes=12 seed=1"),
+            (
+                "random-sfg nodes=64 seed=18446744073709551615",
+                "random-sfg[nodes=64,seed=18446744073709551615]",
+                "random-sfg nodes=64 seed=18446744073709551615",
+            ),
+            (
+                "measured-welch",
+                "measured-welch[samples=4096,seed=1,nfft=256,overlap=0.5,window=hann,taps=31]",
+                "measured-welch samples=4096 seed=1 nfft=256 overlap=0.5 window=hann taps=31",
+            ),
+            (
+                "measured-welch window=hamming overlap=0",
+                "measured-welch[samples=4096,seed=1,nfft=256,overlap=0,window=hamming,taps=31]",
+                "measured-welch samples=4096 seed=1 nfft=256 overlap=0 window=hamming taps=31",
+            ),
+            (
+                "measured-welch samples=1024 seed=7 nfft=128 overlap=0.25 window=kaiser beta=8.6 \
+                 taps=15",
+                "measured-welch[samples=1024,seed=7,nfft=128,overlap=0.25,window=kaiser,beta=8.6,\
+                 taps=15]",
+                "measured-welch samples=1024 seed=7 nfft=128 overlap=0.25 window=kaiser beta=8.6 \
+                 taps=15",
+            ),
+            (
+                "cross-spectrum",
+                "cross-spectrum[samples=8192,seed=1,nfft=128,overlap=0.5,snr=0,taps=31]",
+                "cross-spectrum samples=8192 seed=1 nfft=128 overlap=0.5 snr=0 taps=31",
+            ),
+            (
+                "cross-spectrum samples=2048 seed=5 nfft=64 overlap=0.75 snr=-6.5 taps=15",
+                "cross-spectrum[samples=2048,seed=5,nfft=64,overlap=0.75,snr=-6.5,taps=15]",
+                "cross-spectrum samples=2048 seed=5 nfft=64 overlap=0.75 snr=-6.5 taps=15",
+            ),
+            (
+                "sigma-delta",
+                "sigma-delta[order=2,osr=16,amp=0.5,samples=16384,seed=1,nfft=1024,taps=63]",
+                "sigma-delta order=2 osr=16 amp=0.5 samples=16384 seed=1 nfft=1024 taps=63",
+            ),
+            (
+                "sigma-delta order=1 osr=8 amp=1 samples=4096 seed=3 nfft=256 taps=31",
+                "sigma-delta[order=1,osr=8,amp=1,samples=4096,seed=3,nfft=256,taps=31]",
+                "sigma-delta order=1 osr=8 amp=1 samples=4096 seed=3 nfft=256 taps=31",
+            ),
+        ];
+        let registry = ScenarioRegistry::new();
+        let mut keys = std::collections::BTreeSet::new();
+        for &(line, key, spec_line) in rows {
+            let s = registry.parse_spec_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(s.key(), key, "{line}");
+            assert_eq!(s.to_spec_line(), spec_line, "{line}");
+            assert_eq!(registry.parse_spec_line(spec_line).unwrap(), s, "{spec_line}");
+            assert!(keys.insert(key), "{key} is not distinct");
+        }
+        let families: std::collections::BTreeSet<String> =
+            registry.families().into_iter().map(|f| f.name).collect();
+        let pinned: std::collections::BTreeSet<String> =
+            rows.iter().map(|(line, ..)| line.split(' ').next().unwrap().to_string()).collect();
+        assert_eq!(pinned, families, "every family is pinned");
+        // Direct construction addresses the same record as the parsed line.
+        let direct = Scenario::FirCascade { stages: 2, taps: 31, cutoff: 0.2 };
+        assert_eq!(direct.key(), "fir-cascade[stages=2,taps=31,cutoff=0.2]");
+    }
+
+    #[test]
+    fn welch_window_spellings_share_one_key() {
+        let registry = ScenarioRegistry::new();
+        let short = registry.parse_spec_line("measured-welch window=rect").unwrap();
+        let long = registry.parse_spec_line("measured-welch window=rectangular").unwrap();
+        assert_eq!(short, long, "one window, one scenario");
+        assert_eq!(short.key(), long.key(), "one window, one cache and store record");
+        assert!(long.key().contains(",window=rect,"), "{}", long.key());
     }
 
     #[test]
@@ -795,24 +843,26 @@ mod tests {
                 .unwrap(),
             ),
         ];
+        let registry = ScenarioRegistry::new();
         for s in all {
             let line = s.to_spec_line();
-            let back = Scenario::parse_spec_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let back = registry.parse_spec_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, s, "{line}");
         }
-        assert!(Scenario::parse_spec_line("").is_err());
-        assert!(Scenario::parse_spec_line("fir-bank index").is_err());
-        assert!(Scenario::parse_spec_line("fir-bank index=1 index=2").is_err());
+        assert!(registry.parse_spec_line("").is_err());
+        assert!(registry.parse_spec_line("fir-bank index").is_err());
+        assert!(registry.parse_spec_line("fir-bank index=1 index=2").is_err());
     }
 
     #[test]
     fn bad_parameters_are_rejected() {
         assert!(Scenario::FirBank { index: 147 }.build().is_err());
-        assert!(Scenario::parse("no-such", &params(&[])).is_err());
-        assert!(Scenario::parse("fir-bank", &params(&[])).is_err(), "index required");
-        assert!(Scenario::parse("fir-cascade", &params(&[("bogus", "1")])).is_err());
+        let registry = ScenarioRegistry::new();
+        assert!(registry.parse("no-such", &params(&[])).is_err());
+        assert!(registry.parse("fir-bank", &params(&[])).is_err(), "index required");
+        assert!(registry.parse("fir-cascade", &params(&[("bogus", "1")])).is_err());
         assert!(
-            Scenario::parse("fir-cascade", &params(&[("cutoff", "0.9")])).is_err(),
+            registry.parse("fir-cascade", &params(&[("cutoff", "0.9")])).is_err(),
             "parse validates eagerly"
         );
     }

@@ -2,10 +2,10 @@
 //! expansion path shared by every consumer of a spec.
 //!
 //! A work unit is one [`JobSpec`] tagged with its submission-order id. The
-//! local CLI, the `psdacc-serve` sharding client, and the `psdacc-sched`
-//! fleet coordinator all obtain their jobs from [`BatchSpec::units`], so a
-//! spec expands to the *same* ordered unit list no matter which process —
-//! or how many machines — end up executing it. That shared ordering is
+//! local CLI and the `psdacc-sched` fleet coordinator both obtain their
+//! jobs from [`BatchSpec::units`], so a spec expands to the *same* ordered
+//! unit list no matter which process — or how many machines — end up
+//! executing it. That shared ordering is
 //! what makes "merged fleet output is bit-identical to a single-process
 //! run" a meaningful promise instead of a coincidence.
 //!
@@ -226,8 +226,7 @@ impl ExactSizeIterator for Units<'_> {}
 
 impl BatchSpec {
     /// Lazily iterates the spec's work units in submission order — the one
-    /// expansion path shared by the CLI, the sharding client, and the
-    /// fleet coordinator.
+    /// expansion path shared by the CLI and the fleet coordinator.
     pub fn units(&self) -> Units<'_> {
         Units { spec: self, di: 0, si: 0, bi: 0, mi: 0, next_id: 0 }
     }

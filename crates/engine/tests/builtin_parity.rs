@@ -7,7 +7,7 @@
 //! and min-uniform jobs — 72 rows including the deterministic
 //! flat-on-multirate error rows). This test re-runs the identical spec
 //! through `BatchSpec::parse` (which now resolves scenarios through
-//! `ScenarioRegistry` / `BuiltinProvider`) and demands equality on every
+//! `ScenarioRegistry` and its family table) and demands equality on every
 //! stable field — powers, means, variances, and SQNRs compared as exact
 //! `f64` values, error strings verbatim.
 

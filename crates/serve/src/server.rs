@@ -98,7 +98,7 @@ impl ServerState {
     }
 
     /// The daemon-wide scenario registry: definitions registered on one
-    /// connection are visible to every other (clones share providers).
+    /// connection are visible to every other (clones share named graphs).
     pub fn registry(&self) -> &ScenarioRegistry {
         &self.registry
     }
