@@ -59,10 +59,6 @@ impl AccuracyEvaluator {
         let t0 = Instant::now();
         let preprocessed = preprocess(sfg, output, npsd)?;
         let preprocess_seconds = t0.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
-        if let Some(reg) = psdacc_obs::stage::registry() {
-            reg.histogram("core_tau_pp_ns").record(t0.elapsed());
-        }
         Ok(AccuracyEvaluator { sfg: sfg.clone(), output, preprocessed, preprocess_seconds })
     }
 
@@ -145,7 +141,6 @@ impl AccuracyEvaluator {
         let measured = self.sfg.measured_sources();
         let t0 = Instant::now();
         let est = {
-            #[cfg(feature = "obs")]
             let _frame = psdacc_obs::profile::frame("tau_eval");
             match &self.preprocessed {
                 Preprocessed::SingleRate(responses) => {
@@ -169,10 +164,6 @@ impl AccuracyEvaluator {
             }
         };
         let elapsed = t0.elapsed();
-        #[cfg(feature = "obs")]
-        if let Some(reg) = psdacc_obs::stage::registry() {
-            reg.histogram("core_tau_eval_ns").record(elapsed);
-        }
         Estimate {
             method: Method::PsdMethod,
             power: est.power(),
@@ -189,7 +180,6 @@ impl AccuracyEvaluator {
     /// bit-exactly to the evaluate-path power (see [`crate::budget`]).
     pub fn evaluate_budget(&self, plan: &WordLengthPlan) -> crate::budget::NoiseBudget {
         let sources = plan.noise_sources(&self.sfg);
-        #[cfg(feature = "obs")]
         let _frame = psdacc_obs::profile::frame("budget_eval");
         let (contributions, measured): (Vec<crate::NoisePsd>, Vec<(NodeId, crate::NoisePsd)>) =
             match &self.preprocessed {

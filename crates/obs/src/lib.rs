@@ -1,6 +1,6 @@
 //! `psdacc-obs` — unified observability for the psdacc stack.
 //!
-//! Four pieces, std-only, shared by every layer:
+//! Five pieces, std-only, shared by every layer:
 //!
 //! * [`metrics`] — a named registry of counters, gauges, and log-bucketed
 //!   duration histograms, with canonical JSON and Prometheus-style text
@@ -9,13 +9,12 @@
 //! * [`trace`] — structured spans/events as JSONL, with ids that survive
 //!   the wire so a fleet run merges daemon-side spans into one
 //!   end-to-end trace.
-//! * [`stage`] — a process-global sink for feature-gated stage timers in
-//!   the numeric hot paths (`freq::preprocess`, `tau_pp`), costing one
-//!   atomic load when not installed.
-//! * [`profile`] — a hierarchical self-profiler over the same
-//!   first-install-wins contract: scoped frames on a thread-local stack
-//!   aggregate into a call tree keyed by frame path, rendered as a
-//!   ranked hotspot table or folded stacks for flamegraph tooling.
+//! * [`profile`] — a process-global hierarchical self-profiler
+//!   (first install wins, one atomic load per frame when not installed):
+//!   scoped frames on a thread-local stack in the numeric hot paths
+//!   (`freq::preprocess`, `tau_eval`) aggregate into a call tree keyed
+//!   by frame path, rendered as a ranked hotspot table or folded stacks
+//!   for flamegraph tooling.
 //! * [`analyze`] — trace analytics over a merged fleet trace: critical
 //!   path, per-stage totals, per-daemon utilization, and greedy-refinement
 //!   trajectories, rendered as a JSON line or a human breakdown.
@@ -37,7 +36,6 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod report;
-pub mod stage;
 pub mod trace;
 
 pub use analyze::{CriticalHop, DaemonUtilization, StageTotal, TraceAnalysis};

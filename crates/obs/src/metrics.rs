@@ -18,7 +18,7 @@
 //! Buckets are log-spaced in **nanoseconds**: bucket `i` counts
 //! observations in `[2^i, 2^(i+1))` ns (bucket 0 also absorbs 0–1 ns, the
 //! last bucket absorbs everything from ~39 h up). 48 buckets cover the
-//! whole range this stack sees, from sub-µs stage timers to multi-second
+//! whole range this stack sees, from sub-µs per-verb latencies to multi-second
 //! preprocessing builds. Derived quantiles use the **bucket-upper-bound
 //! convention**: `quantile(q)` returns the upper bound `2^(i+1)` of the
 //! bucket holding the `ceil(q·count)`-th observation — a conservative

@@ -1,69 +1,20 @@
-//! First-install-wins under real concurrency: `stage::install` and
-//! `profile::install` both promise that when N threads race to install,
-//! exactly one wins and every subsequent record lands in the winner's
-//! sink. These tests own the process-global state, so they live in their
-//! own integration binary (the in-crate lifecycle tests install their own
-//! globals and would collide).
+//! First-install-wins under real concurrency: `profile::install`
+//! promises that when N threads race to install, exactly one wins and
+//! every subsequent frame lands in the winner's profiler. The test owns
+//! the process-global state, so it lives in its own integration binary
+//! (the in-crate lifecycle tests install their own globals and would
+//! collide).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use psdacc_obs::{profile, stage, MetricsRegistry, Profiler};
+use psdacc_obs::{profile, Profiler};
 
 const RACERS: usize = 16;
 
-/// Races `stage::install` from many threads through a barrier: exactly
-/// one call returns `true`, `stage::registry()` is that winner's
-/// registry, and records from every thread land in it.
-#[test]
-fn stage_install_race_has_exactly_one_winner() {
-    let barrier = Arc::new(Barrier::new(RACERS));
-    let wins = Arc::new(AtomicUsize::new(0));
-    let registries: Vec<Arc<MetricsRegistry>> =
-        (0..RACERS).map(|_| Arc::new(MetricsRegistry::new())).collect();
-    let threads: Vec<_> = registries
-        .iter()
-        .map(|reg| {
-            let reg = Arc::clone(reg);
-            let barrier = Arc::clone(&barrier);
-            let wins = Arc::clone(&wins);
-            std::thread::spawn(move || {
-                barrier.wait();
-                if stage::install(reg) {
-                    wins.fetch_add(1, Ordering::SeqCst);
-                }
-                // Whoever lost, recording still works and goes somewhere.
-                stage::record("race_ns", stage::timer());
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-
-    assert_eq!(wins.load(Ordering::SeqCst), 1, "exactly one install wins");
-    let winner = stage::registry().expect("a sink is installed after the race");
-    let winner_idx =
-        registries.iter().position(|r| Arc::ptr_eq(r, winner)).expect("winner is one of ours");
-    // Every thread recorded after its install attempt; the barrier plus
-    // install-before-record ordering means all RACERS records happened
-    // with the winner installed... except threads that raced ahead of the
-    // winner's `INSTALLED.store`. At least the winner's own record is
-    // guaranteed; every record that did land went to the winner.
-    let count = winner.histogram("race_ns").count();
-    assert!(
-        (1..=RACERS as u64).contains(&count),
-        "winner received {count} records (expected 1..={RACERS})"
-    );
-    for (i, reg) in registries.iter().enumerate() {
-        if i != winner_idx {
-            assert_eq!(reg.histogram("race_ns").count(), 0, "loser {i} received records");
-        }
-    }
-}
-
-/// The same race for `profile::install`: one winner, and frames from
-/// every thread aggregate into the winner's call tree.
+/// Races `profile::install` from many threads through a barrier: exactly
+/// one call returns `true`, and frames from every thread aggregate into
+/// the winner's call tree.
 #[test]
 fn profile_install_race_has_exactly_one_winner() {
     let barrier = Arc::new(Barrier::new(RACERS));

@@ -104,8 +104,7 @@ impl ServerState {
     }
 
     /// The daemon-wide metrics registry (service counters, per-verb
-    /// latency, and — when built with the `obs` feature — hot-path stage
-    /// timers).
+    /// latency, and engine/store cache gauges).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }

@@ -345,7 +345,6 @@ pub fn multirate_responses(
             ),
         });
     }
-    #[cfg(feature = "obs")]
     let _mr_frame = psdacc_obs::profile::frame("multirate");
     let rates = node_rates(sfg)?;
     let grids: Vec<usize> = rates
@@ -361,15 +360,12 @@ pub fn multirate_responses(
     // tau_pp proper: every LTI block's |H|^2 sampled once on its own rate
     // region's grid.
     let mag2: Vec<Option<Vec<f64>>> = {
-        #[cfg(feature = "obs")]
         let _frame = psdacc_obs::profile::frame("block_response");
         sfg.iter()
             .map(|(id, node)| match node.block {
                 Block::Fir(_) | Block::Gain(_) => {
-                    #[cfg(feature = "obs")]
                     let _region =
                         psdacc_obs::profile::frame_with(|| format!("region[{}]", rates[id.0]));
-                    #[cfg(feature = "obs")]
                     let _node = psdacc_obs::profile::frame_with(|| format!("node[{}]", id.0));
                     Some(
                         node.block
@@ -386,13 +382,10 @@ pub fn multirate_responses(
     let order = full_topological_order(sfg)?;
     let npsd_out = grids[output.0];
     let kernels = {
-        #[cfg(feature = "obs")]
         let _frame = psdacc_obs::profile::frame("kernels");
         (0..sfg.len())
             .map(|s| {
-                #[cfg(feature = "obs")]
                 let _region = psdacc_obs::profile::frame_with(|| format!("region[{}]", rates[s]));
-                #[cfg(feature = "obs")]
                 let _source = psdacc_obs::profile::frame_with(|| format!("source[{s}]"));
                 let source = NodeId(s);
                 let white = NoiseState { bins: vec![1.0 / grids[s] as f64; grids[s]], mean: 0.0 };
