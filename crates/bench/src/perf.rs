@@ -458,14 +458,13 @@ mod tests {
             assert!(r.get("iters").unwrap().as_u64().unwrap() >= 1, "{line}");
             let p50 = r.get("p50_ns").unwrap().as_u64().unwrap();
             let p95 = r.get("p95_ns").unwrap().as_u64().unwrap();
-            assert!(p50 > 0 && p50 <= p95, "{line}");
             assert!(r.get("mean_ns").unwrap().as_u64().unwrap() > 0, "{line}");
-            // Exact extremes bracket the interpolated percentiles (the
-            // interpolation can only drift within one bucket).
+            // The percentile contract: percentiles are clamped to the exact
+            // observed extremes, so min <= p50 <= p95 <= max.
             let min = r.get("min_ns").unwrap().as_u64().unwrap();
             let max = r.get("max_ns").unwrap().as_u64().unwrap();
-            assert!(min > 0 && min <= max, "{line}");
-            assert!(min <= p50 + p50 / 2 && p95 <= 2 * max, "{line}");
+            assert!(min > 0, "{line}");
+            assert!(min <= p50 && p50 <= p95 && p95 <= max, "{line}");
             assert!(r.get("throughput_units_per_s").unwrap().as_f64().unwrap() > 0.0, "{line}");
         }
     }

@@ -431,19 +431,11 @@ fn collect_lines(spec: &BatchSpec, threads: usize) -> Vec<String> {
     report.results.iter().map(|r| r.to_json_line()).collect()
 }
 
-/// A result line minus its run-dependent fields (timings, cache-hit
-/// flag): what must be bit-identical between profiled and unprofiled
-/// runs.
+/// A result line's stable fields (`psdacc_engine::stable_fields`); an
+/// unparseable line compares by its raw text.
 fn stable_fields(line: &str) -> Vec<(String, json::Json)> {
-    match json::parse(line) {
-        Ok(json::Json::Obj(fields)) => fields
-            .into_iter()
-            .filter(|(k, _)| {
-                !matches!(k.as_str(), "tau_pp_seconds" | "tau_eval_seconds" | "cache_hit")
-            })
-            .collect(),
-        _ => vec![("unparseable".to_string(), json::Json::Str(line.to_string()))],
-    }
+    psdacc_engine::stable_fields(line)
+        .unwrap_or_else(|_| vec![("unparseable".to_string(), json::Json::Str(line.to_string()))])
 }
 
 fn cmd_demo(args: &[String]) -> ExitCode {

@@ -16,7 +16,7 @@ use psdacc_obs::{BudgetReportRow, Severity, SpanId, Tracer};
 
 use crate::cache::PreprocessCache;
 use crate::error::EngineError;
-use crate::json::JsonWriter;
+use crate::json::{self, Json, JsonWriter};
 use crate::scenario::Scenario;
 
 /// What a job computes.
@@ -247,6 +247,27 @@ impl JobResult {
             w.field_str("error", e);
         }
         w.finish()
+    }
+}
+
+/// Result-line fields that legitimately differ between runs of the same
+/// job: the two timings and the cache-hit flag.
+const RUN_DEPENDENT_FIELDS: [&str; 3] = ["tau_pp_seconds", "tau_eval_seconds", "cache_hit"];
+
+/// A result line minus its run-dependent fields, in line order:
+/// everything that remains must be bit-identical wherever the job runs
+/// (local engine, any daemon of any fleet, profiled or not).
+///
+/// # Errors
+///
+/// The parse error, or a message when the line is not a JSON object.
+pub fn stable_fields(line: &str) -> Result<Vec<(String, Json)>, String> {
+    match json::parse(line)? {
+        Json::Obj(fields) => Ok(fields
+            .into_iter()
+            .filter(|(k, _)| !RUN_DEPENDENT_FIELDS.contains(&k.as_str()))
+            .collect()),
+        _ => Err(format!("result line is not an object: {line}")),
     }
 }
 

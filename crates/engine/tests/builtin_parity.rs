@@ -11,23 +11,10 @@
 //! stable field — powers, means, variances, and SQNRs compared as exact
 //! `f64` values, error strings verbatim.
 
-use psdacc_engine::json::{self, Json};
-use psdacc_engine::{BatchSpec, Engine, Scenario, ScenarioRegistry};
+use psdacc_engine::{stable_fields, BatchSpec, Engine, Scenario, ScenarioRegistry};
 
 const GOLDEN_SPEC: &str = include_str!("golden/builtins.spec");
 const GOLDEN_ROWS: &str = include_str!("golden/builtins.jsonl");
-
-/// Drops the run-dependent fields (timings, cache flags), keeping
-/// everything the redesign must preserve.
-fn stable_fields(line: &str) -> Vec<(String, Json)> {
-    let Json::Obj(fields) = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}")) else {
-        panic!("result line is not an object: {line}");
-    };
-    fields
-        .into_iter()
-        .filter(|(k, _)| !matches!(k.as_str(), "tau_pp_seconds" | "tau_eval_seconds" | "cache_hit"))
-        .collect()
-}
 
 #[test]
 fn all_builtin_families_match_pre_redesign_golden_outputs() {
@@ -37,8 +24,8 @@ fn all_builtin_families_match_pre_redesign_golden_outputs() {
     let golden: Vec<&str> = GOLDEN_ROWS.lines().filter(|l| !l.trim().is_empty()).collect();
     assert_eq!(report.results.len(), golden.len(), "same job count as the golden capture");
     for (result, golden_line) in report.results.iter().zip(&golden) {
-        let ours = stable_fields(&result.to_json_line());
-        let theirs = stable_fields(golden_line);
+        let ours = stable_fields(&result.to_json_line()).unwrap();
+        let theirs = stable_fields(golden_line).unwrap();
         assert_eq!(
             ours, theirs,
             "job {} ({} on {}) diverged from the pre-redesign capture",

@@ -15,21 +15,9 @@
 
 use std::sync::Arc;
 
-use psdacc_engine::json::{self, Json};
-use psdacc_engine::{BatchSpec, Engine};
+use psdacc_engine::json::Json;
+use psdacc_engine::{stable_fields, BatchSpec, Engine};
 use psdacc_obs::profile::{self, Profiler};
-
-/// Drops the run-dependent fields (timings, cache flags), keeping
-/// everything profiling must preserve.
-fn stable_fields(line: &str) -> Vec<(String, Json)> {
-    let Json::Obj(fields) = json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}")) else {
-        panic!("result line is not an object: {line}");
-    };
-    fields
-        .into_iter()
-        .filter(|(k, _)| !matches!(k.as_str(), "tau_pp_seconds" | "tau_eval_seconds" | "cache_hit"))
-        .collect()
-}
 
 /// Runs `spec_text` through a fresh engine (fresh preprocessing cache,
 /// so profiled and unprofiled phases do the same work) and returns the
@@ -37,7 +25,7 @@ fn stable_fields(line: &str) -> Vec<(String, Json)> {
 fn run_spec(spec_text: &str) -> Vec<Vec<(String, Json)>> {
     let spec = BatchSpec::parse(spec_text).unwrap_or_else(|e| panic!("{spec_text}: {e}"));
     let report = Engine::new(4).run(spec.jobs());
-    report.results.iter().map(|r| stable_fields(&r.to_json_line())).collect()
+    report.results.iter().map(|r| stable_fields(&r.to_json_line()).unwrap()).collect()
 }
 
 #[test]

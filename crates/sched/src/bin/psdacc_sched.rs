@@ -2,24 +2,35 @@
 //!
 //! ```text
 //! psdacc-sched submit --daemons HOST:PORT[,HOST:PORT...] SPECFILE
-//!                     [--graph NAME=FILE]... [--window-factor N]
+//!                     [--graph NAME=FILE]... [--trace-dir DIR]
 //!                     [--timeout-seconds N] [--stats-json PATH]
+//!                     [--trace PATH] [--batch ID]
+//! psdacc-sched trace  --daemons HOST:PORT[,HOST:PORT...] --batch ID
+//!                     [--timeout-seconds N]
+//! psdacc-sched analyze --trace PATH [--json]
 //! ```
 //!
-//! Expands a batch spec locally and dispatches it across the daemons with
-//! pull-based work stealing (each daemon's in-flight window sized by its
-//! advertised worker count; stragglers' queued units re-routed to idle
-//! daemons; a dead daemon's units retried once elsewhere). Merged result
-//! lines stream to stdout in submission order — bit-identical to a local
-//! `psdacc-engine run` on every stable field — and one `{"kind":"fleet"}`
-//! stats line (steal / re-dispatch counters, per-daemon accounting) goes
-//! to stderr, or to `--stats-json PATH` for scripts.
+//! `submit` expands a batch spec locally and dispatches it across the
+//! daemons with pull-based work stealing (each daemon's in-flight window
+//! sized by its advertised worker count; stragglers' queued units
+//! re-routed to idle daemons; a dead daemon's units retried once
+//! elsewhere). Merged result lines stream to stdout in submission order —
+//! bit-identical to a local `psdacc-engine run` on every stable field —
+//! and one `{"kind":"fleet"}` stats line (steal / re-dispatch counters,
+//! per-daemon accounting) goes to stderr, or to `--stats-json PATH` for
+//! scripts.
 //!
 //! `--graph NAME=FILE` (repeatable) registers a declarative `GraphSpec`
 //! JSON file as a named scenario: locally (so the spec parses) and on
 //! **every** daemon via `define_scenario` before any unit streams — work
 //! stealing may hand any unit to any daemon, so definitions must be
-//! fleet-wide.
+//! fleet-wide. `--trace-dir DIR` resolves `"trace":"<hash>"` references
+//! in measured nodes to inline samples before the definitions ship.
+//!
+//! `--trace PATH` writes the merged end-to-end trace of the run as JSONL
+//! (`--batch ID` names its batch); `trace` fetches the daemons' retained
+//! trace for a batch id after the fact; `analyze` turns a merged trace
+//! into the critical path, stage totals and per-daemon utilization.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -32,7 +43,6 @@ use psdacc_serve::client;
 const USAGE: &str = "usage:
   psdacc-sched submit --daemons HOST:PORT[,HOST:PORT...] SPECFILE
                       [--graph NAME=FILE]... [--trace-dir DIR]
-                      [--window-factor N]
                       [--timeout-seconds N] [--stats-json PATH]
                       [--trace PATH] [--batch ID]
   psdacc-sched trace  --daemons HOST:PORT[,HOST:PORT...] --batch ID
@@ -69,7 +79,6 @@ struct SubmitArgs {
     spec_path: String,
     graphs: Vec<String>,
     trace_dir: Option<String>,
-    window_factor: usize,
     timeout: Duration,
     stats_json: Option<String>,
     trace: Option<String>,
@@ -219,7 +228,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
     let mut daemons: Vec<String> = Vec::new();
     let mut spec_path: Option<String> = None;
-    let mut window_factor = 2usize;
     let mut timeout = Duration::from_secs(30);
     let mut stats_json = None;
     let mut graphs: Vec<String> = Vec::new();
@@ -242,13 +250,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
                     .map(String::from)
                     .collect();
             }
-            "--window-factor" => {
-                window_factor = value("--window-factor")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--window-factor must be a positive integer")?;
-            }
             "--timeout-seconds" => {
                 timeout = Duration::from_secs(
                     value("--timeout-seconds")?
@@ -264,7 +265,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
             other if other.starts_with("--") => {
                 return Err(format!(
                     "unknown argument `{other}` (allowed: --daemons, --graph, --trace-dir, \
-                     --window-factor, --timeout-seconds, --stats-json, --trace, --batch)"
+                     --timeout-seconds, --stats-json, --trace, --batch)"
                 ));
             }
             positional => {
@@ -283,17 +284,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
         return Err("--batch names the trace batch and needs --trace PATH".to_string());
     }
     let spec_path = spec_path.ok_or("submit needs a SPECFILE")?;
-    Ok(SubmitArgs {
-        daemons,
-        spec_path,
-        graphs,
-        trace_dir,
-        window_factor,
-        timeout,
-        stats_json,
-        trace,
-        batch,
-    })
+    Ok(SubmitArgs { daemons, spec_path, graphs, trace_dir, timeout, stats_json, trace, batch })
 }
 
 fn cmd_submit(args: &SubmitArgs) -> ExitCode {
@@ -346,12 +337,7 @@ fn cmd_submit(args: &SubmitArgs) -> ExitCode {
             format!("fleet-{:08x}", (wall ^ u64::from(std::process::id())) & 0xffff_ffff)
         })
     });
-    let config = FleetConfig {
-        window_factor: args.window_factor,
-        definitions,
-        trace: batch.clone(),
-        ..FleetConfig::default()
-    };
+    let config = FleetConfig { definitions, trace: batch.clone(), ..FleetConfig::default() };
     let outcome = {
         let mut out = std::io::stdout().lock();
         run_fleet(&args.daemons, &jobs, &config, |line| {

@@ -40,13 +40,14 @@ use psdacc_serve::{client, ScenarioDefinition, PROTOCOL_REVISION};
 use crate::error::SchedError;
 use crate::queue::{FleetQueue, QueueCounters, Unit};
 
+/// In-flight window per daemon = advertised workers x this factor: two
+/// units per worker keep every daemon worker busy while a refill is on
+/// the wire.
+const WINDOW_FACTOR: usize = 2;
+
 /// Coordinator policy knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// In-flight window per daemon = advertised workers x this factor.
-    /// Factor 2 (default) keeps every daemon worker busy while a refill
-    /// is on the wire; factor 1 is strict one-unit-per-worker.
-    pub window_factor: usize,
     /// Per-candidate TCP connect bound and `hello` reply deadline — an
     /// unreachable daemon is a fast, named setup error, never a hang.
     pub connect_timeout: Duration,
@@ -70,7 +71,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            window_factor: 2,
             connect_timeout: Duration::from_secs(5),
             definitions: Vec::new(),
             trace: None,
@@ -266,8 +266,7 @@ pub fn run_fleet(
         .map(|(id, spec)| Ok(Unit::new(id, job_request_line(id, spec)?, verb_of(&spec.kind))))
         .collect::<Result<_, SchedError>>()?;
     let links = connect_fleet(daemons, config)?;
-    let windows: Vec<usize> =
-        links.iter().map(|l| l.workers.max(1) * config.window_factor.max(1)).collect();
+    let windows: Vec<usize> = links.iter().map(|l| l.workers.max(1) * WINDOW_FACTOR).collect();
     let queue = FleetQueue::new(units, windows.clone());
 
     // Observability is opt-in and observational: a disabled tracer makes

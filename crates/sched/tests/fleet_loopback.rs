@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use psdacc_engine::json::{self, Json};
-use psdacc_engine::{BatchSpec, Engine, JobSpec};
+use psdacc_engine::{stable_fields, BatchSpec, Engine, JobSpec};
 use psdacc_obs::{EventKind, TraceEvent};
 use psdacc_sched::{fetch_fleet_trace, run_fleet, FleetConfig, FleetOutcome};
 use psdacc_serve::{client, Server, ServerConfig, ServerHandle};
@@ -82,21 +82,7 @@ fn daemon_stat(addr: &str, field: &str) -> u64 {
 fn assert_bit_identical(got: &[String], want: &[String]) {
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(want) {
-        assert_eq!(stable_fields(g), stable_fields(w), "\n got: {g}\nwant: {w}");
-    }
-}
-
-/// A result line minus its run-dependent fields (timings, cache hit flag):
-/// everything that remains must be bit-identical across processes.
-fn stable_fields(line: &str) -> Vec<(String, Json)> {
-    match json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}")) {
-        Json::Obj(fields) => fields
-            .into_iter()
-            .filter(|(k, _)| {
-                !matches!(k.as_str(), "tau_pp_seconds" | "tau_eval_seconds" | "cache_hit")
-            })
-            .collect(),
-        other => panic!("result line is not an object: {other:?}"),
+        assert_eq!(stable_fields(g).unwrap(), stable_fields(w).unwrap(), "\n got: {g}\nwant: {w}");
     }
 }
 
@@ -128,9 +114,7 @@ fn skewed_fleet_merges_bit_identically_with_steals() {
 
     assert_eq!(outcome.lines.len(), expected.len());
     assert_eq!(streamed, outcome.lines, "streaming callback saw the merged order");
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
+    assert_bit_identical(&outcome.lines, &expected);
     let stats = &outcome.stats;
     assert_eq!(stats.units, expected.len());
     assert_eq!(stats.failed, 0);
@@ -188,9 +172,7 @@ fn daemon_killed_mid_batch_redispatches_and_stays_bit_identical() {
     let outcome = run_fleet(&daemons, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
 
     assert_eq!(outcome.lines.len(), expected.len(), "batch completed despite the death");
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
+    assert_bit_identical(&outcome.lines, &expected);
     let stats = &outcome.stats;
     assert_eq!(stats.failed, 0);
     assert!(stats.daemons[0].dead, "the chaos daemon must be reported dead: {stats:?}");
@@ -258,8 +240,16 @@ fn traced_fleet_run_merges_parented_spans_and_stays_bit_identical() {
     // engine), plus the untraced run really recorded nothing.
     assert_eq!(traced.lines.len(), expected.len());
     for ((got, off), want) in traced.lines.iter().zip(&untraced.lines).zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(off), "\ntraced: {got}\nuntraced: {off}");
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
+        assert_eq!(
+            stable_fields(got).unwrap(),
+            stable_fields(off).unwrap(),
+            "\ntraced: {got}\nuntraced: {off}"
+        );
+        assert_eq!(
+            stable_fields(got).unwrap(),
+            stable_fields(want).unwrap(),
+            "\n got: {got}\nwant: {want}"
+        );
     }
     assert!(untraced.trace.is_empty(), "tracing off must record nothing");
 
@@ -425,23 +415,17 @@ fn unreachable_daemons_fail_fast_with_addresses_named() {
 }
 
 /// A single-daemon "fleet" degenerates to a correct, complete run (and
-/// exercises the window-refill path with zero stealing opportunities).
+/// exercises the window-refill path with zero stealing opportunities:
+/// SPEC has more units than the 2-worker daemon's window).
 #[test]
 fn single_daemon_fleet_is_complete_and_identical() {
     let spec = BatchSpec::parse(SPEC).unwrap();
     let expected = expected_lines(&spec);
     let daemon = spawn_daemon(2, ServerConfig::default());
-    let outcome = run_fleet(
-        &[daemon.addr().to_string()],
-        &spec.jobs(),
-        &FleetConfig { window_factor: 1, ..FleetConfig::default() },
-        |_| {},
-    )
-    .unwrap();
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
+    let outcome =
+        run_fleet(&[daemon.addr().to_string()], &spec.jobs(), &FleetConfig::default(), |_| {})
+            .unwrap();
+    assert_bit_identical(&outcome.lines, &expected);
     assert_eq!(outcome.stats.steals, 0);
     assert_eq!(outcome.stats.daemons[0].served, expected.len());
     daemon.shutdown();
@@ -487,10 +471,7 @@ fn defined_graph_scenario_runs_bit_identically_across_the_fleet() {
     let outcome = run_fleet(&daemons, &spec.jobs(), &config, |_line| {}).unwrap();
 
     assert_eq!(outcome.stats.failed, 0, "{:?}", outcome.stats);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
+    assert_bit_identical(&outcome.lines, &expected);
     assert!(outcome.stats.steals > 0, "skew forces steals: {:?}", outcome.stats);
     assert!(outcome.stats.daemons.iter().all(|d| d.served > 0), "{:?}", outcome.stats);
     // Dynamic-scenario rows really flowed through the fleet, keyed by hash.
@@ -588,9 +569,7 @@ fn measured_source_fleet_is_bit_identical_under_work_stealing() {
 
     assert_eq!(outcome.lines.len(), expected.len());
     assert_eq!(outcome.stats.failed, 0);
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
+    assert_bit_identical(&outcome.lines, &expected);
     // The recorded graph's rows carry its content-hash key.
     let recorded_rows = outcome.lines.iter().filter(|l| l.contains(&defined.key())).count();
     assert_eq!(recorded_rows, 5, "4 bits + 1 budget on the recorded graph");
@@ -605,7 +584,19 @@ fn measured_source_fleet_is_bit_identical_under_work_stealing() {
     let budget_lines: Vec<&String> =
         outcome.lines.iter().filter(|l| l.contains("\"kind\":\"budget\"")).collect();
     assert_eq!(budget_lines.len(), 6);
-    assert!(budget_lines.iter().all(|l| l.contains("\"role\":\"measured\"")));
+    for line in budget_lines {
+        assert!(line.contains("\"role\":\"measured\""), "{line}");
+        // The merged ledger still folds exactly onto the merged power.
+        let v = json::parse(line).unwrap();
+        let total = v
+            .get("budget")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .fold(0.0f64, |acc, r| acc + r.get("contribution").unwrap().as_f64().unwrap());
+        assert_eq!(total.to_bits(), v.get("power").unwrap().as_f64().unwrap().to_bits(), "{line}");
+    }
     slow.shutdown();
     fast.shutdown();
 }

@@ -3,14 +3,16 @@
 //! ```text
 //! psdacc-serve daemon --addr 127.0.0.1:7341 --store DIR [--threads N]
 //! psdacc-serve stats  --workers HOST:PORT[,HOST:PORT...]
-//! psdacc-serve scenarios --workers HOST:PORT
-//! psdacc-serve describe --workers HOST:PORT
+//! psdacc-serve metrics --workers HOST:PORT[,HOST:PORT...] [--format text|json]
+//! psdacc-serve scenarios --workers HOST:PORT[,HOST:PORT...]
+//! psdacc-serve describe --workers HOST:PORT[,HOST:PORT...]
 //! ```
 //!
 //! `daemon` serves forever; results stream to each client as JSON lines.
 //! Batches are submitted with `psdacc-sched submit`, which dispatches
 //! them across daemons. `stats` / `scenarios` / `describe` print each
-//! daemon's one-line answer.
+//! daemon's one-line answer; `metrics` prints each daemon's Prometheus
+//! text exposition (or its JSON registry with `--format json`).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -31,7 +33,7 @@ const USAGE: &str = "usage:
   psdacc-serve describe --workers HOST:PORT[,HOST:PORT...]
 
 The daemon speaks newline-delimited JSON (kinds: evaluate, greedy,
-min-uniform, simulate, define_scenario, describe, evaluate_units, hello,
+min-uniform, budget, simulate, define_scenario, describe, evaluate_units, hello,
 metrics, scenarios, stats, trace). `metrics` prints each daemon's
 Prometheus text exposition (or the canonical JSON registry with
 --format json). With

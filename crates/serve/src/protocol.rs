@@ -74,6 +74,7 @@ use psdacc_obs::{SpanId, TraceEvent};
 use psdacc_sfg::GraphSpec;
 
 use crate::error::ServeError;
+use crate::latency::verb_of;
 
 /// Per-line size cap on both sides of the wire. Real protocol lines are
 /// hundreds of bytes; a peer streaming gigabytes with no `\n` must hit an
@@ -399,14 +400,7 @@ pub fn job_request_line(id: usize, spec: &JobSpec) -> Result<String, ServeError>
     }
     let mut w = JsonWriter::new();
     w.field_usize("id", id);
-    let kind = match &spec.kind {
-        JobKind::Estimate { .. } => "evaluate",
-        JobKind::GreedyRefine { .. } => "greedy",
-        JobKind::MinUniform { .. } => "min-uniform",
-        JobKind::Budget { .. } => "budget",
-        JobKind::Simulate { .. } => "simulate",
-    };
-    w.field_str("kind", kind);
+    w.field_str("kind", verb_of(&spec.kind));
     w.field_str("scenario", &spec.scenario.to_spec_line());
     if let psdacc_engine::Scenario::Graph(g) = &spec.scenario {
         // Pin the content identity: the daemon rejects the job if its

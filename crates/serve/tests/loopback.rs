@@ -9,25 +9,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use psdacc_engine::json::{self, Json};
-use psdacc_engine::{BatchSpec, Engine};
+use psdacc_engine::{stable_fields, BatchSpec, Engine};
 use psdacc_serve::{client, Server, ServerHandle};
 
 fn spawn_memory_daemon(threads: usize) -> ServerHandle {
     Server::bind("127.0.0.1:0", Engine::new(threads)).unwrap().spawn().unwrap()
-}
-
-/// A result line minus its run-dependent fields (timings, cache hit flag):
-/// everything that remains must be bit-identical across processes.
-fn stable_fields(line: &str) -> Vec<(String, Json)> {
-    match json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}")) {
-        Json::Obj(fields) => fields
-            .into_iter()
-            .filter(|(k, _)| {
-                !matches!(k.as_str(), "tau_pp_seconds" | "tau_eval_seconds" | "cache_hit")
-            })
-            .collect(),
-        other => panic!("result line is not an object: {other:?}"),
-    }
 }
 
 fn stat(line: &str, field: &str) -> u64 {
@@ -296,7 +282,7 @@ fn evaluate_units_trace_context_yields_parented_daemon_spans() {
         let mut rows: Vec<(u64, Vec<(String, Json)>)> = lines
             .iter()
             .filter(|l| l.contains("\"power\""))
-            .map(|l| (stat(l, "job"), stable_fields(l)))
+            .map(|l| (stat(l, "job"), stable_fields(l).unwrap()))
             .collect();
         rows.sort_by_key(|(id, _)| *id);
         rows.into_iter().map(|(_, f)| f).collect()
