@@ -2,6 +2,6 @@
 //! `psdacc_bench::experiments::ablation`).
 
 fn main() {
-    let args = psdacc_bench::Args::parse();
+    let args = psdacc_bench::Args::parse(psdacc_bench::Dispatch::LocalOnly);
     psdacc_bench::experiments::ablation::run(&args);
 }

@@ -1,7 +1,8 @@
-//! Runs every experiment in sequence (Tables I-II, Figs. 4-7).
+//! Runs every experiment in sequence (Tables I-II, Figs. 4-7), locally:
+//! Figs. 6 and 7 run in-process, so `--daemons` is a usage error here.
 
 fn main() {
-    let args = psdacc_bench::Args::parse();
+    let args = psdacc_bench::Args::parse(psdacc_bench::Dispatch::LocalOnly);
     psdacc_bench::experiments::table1::run(&args);
     println!();
     psdacc_bench::experiments::fig4::run(&args);

@@ -1,10 +1,10 @@
 //! **Fig. 4**: estimation deviation `Ed` versus fractional bit-width `d`
 //! (8..=32 in steps of 4) for the frequency-filtering and DWT systems.
 //!
-//! Ported to run as **engine batches** (matching table1/table2): for each
-//! bit-width and each system, a seeded Monte-Carlo reference
-//! (`JobKind::Simulate`) and a PSD estimate are jobs on the work-stealing
-//! pool, sharing one preprocessing pass per system. The systems are the
+//! Runs as **engine batches** through [`batch_powers`], one per rounding
+//! mode: for each bit-width and each system, a seeded Monte-Carlo
+//! reference (`JobKind::Simulate`) and a PSD estimate are jobs on the
+//! work-stealing pool, sharing one preprocessing pass per system. The systems are the
 //! registry scenarios `freq-filter` (Fig. 2 band-pass chain) and
 //! `dwt-decimated levels=2` (the true multirate CDF 9/7 codec). With
 //! `--daemons` the whole batch dispatches through the `psdacc-sched`

@@ -1,14 +1,14 @@
 //! **Fig. 5**: estimation deviation `Ed` versus the number of PSD samples
 //! `N_PSD` (16..1024), at `d = 32` fractional bits.
 //!
-//! Ported to run as **one engine batch** (matching table1/table2): per
-//! system one seeded Monte-Carlo reference (`JobKind::Simulate`, at the
-//! finest grid) plus one PSD estimate per `N_PSD` point — each estimate a
-//! distinct `(scenario, npsd)` cache key, so the batch pays exactly one
-//! preprocessing pass per grid size, spread across the pool. The systems
-//! are the registry scenarios `freq-filter` and `dwt-decimated levels=2`.
-//! With `--daemons` the batch dispatches through the `psdacc-sched`
-//! coordinator across a daemon fleet.
+//! Runs as **one engine batch** through [`batch_powers`]: per system one
+//! seeded Monte-Carlo reference (`JobKind::Simulate`, at the finest grid)
+//! plus one PSD estimate per `N_PSD` point — each estimate a distinct
+//! `(scenario, npsd)` cache key, so the batch pays exactly one preprocessing
+//! pass per grid size, spread across the pool. The systems are the registry
+//! scenarios `freq-filter` and `dwt-decimated levels=2`. With `--daemons` the
+//! batch dispatches through the `psdacc-sched` coordinator across a daemon
+//! fleet.
 
 use psdacc_core::Method;
 use psdacc_engine::{JobKind, JobSpec, Scenario};

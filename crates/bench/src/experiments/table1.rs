@@ -7,17 +7,20 @@
 //! family. The flat method (paper Section IV-B: "classical flat estimation
 //! gives exactly the same results") is cross-checked as well.
 //!
-//! The analytical side runs as a `psdacc-engine` batch: the population is
-//! declared through the scenario registry (`fir-bank` / `iir-bank`), the
-//! work-stealing pool spreads the per-filter preprocessing across cores,
-//! and the Monte-Carlo reference afterwards reuses the very same cached
-//! evaluators, so preprocessing is paid once per filter for both sides.
+//! Both sides run as one engine batch through [`batch_powers`]: the
+//! population is declared through the scenario registry (`fir-bank` /
+//! `iir-bank`), and each filter contributes its `psd` and `flat` estimates
+//! plus a single-trial `simulate` job on the same `(scenario, npsd)` key,
+//! so preprocessing is paid once per filter for both sides and the
+//! Monte-Carlo references spread across the pool with the estimates.
+//! With `--daemons` the batch dispatches through the `psdacc-sched`
+//! coordinator across a daemon fleet — same numbers, any fleet.
 
-use psdacc_core::{metrics, Method, WordLengthPlan};
-use psdacc_engine::{Engine, JobKind, JobSpec, Scenario};
+use psdacc_core::{metrics, Method};
+use psdacc_engine::{JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
-use psdacc_sim::SimulationPlan;
 
+use crate::fleet::{backend_label, batch_powers};
 use crate::harness::{pct, Args, Table};
 
 /// Summary statistics of one filter family.
@@ -56,68 +59,53 @@ fn family_scenario(is_fir: bool, index: usize) -> Scenario {
 /// Runs the experiment; `stride` subsamples the population (1 = all 147).
 pub fn run_with_stride(args: &Args, stride: usize) -> (FamilyStats, FamilyStats) {
     let d = 12;
-    let plan = WordLengthPlan::uniform(d, RoundingMode::Truncate);
-    let sim =
-        SimulationPlan { samples: args.samples, nfft: 256, seed: args.seed, ..Default::default() };
     let indices: Vec<usize> = (0..147).step_by(stride.max(1)).collect();
 
-    // Analytical estimates as one engine batch over both families: for each
-    // filter, a `psd` and a `flat` job (interleaved per scenario so the
-    // parity pairing below is positional).
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let engine = Engine::new(threads);
-    let mut jobs = Vec::with_capacity(indices.len() * 4);
-    for &is_fir in &[true, false] {
+    // One batch over both families: for each filter, its `psd` and `flat`
+    // estimates and its single-trial Monte-Carlo reference, in that order.
+    let mut jobs = Vec::with_capacity(indices.len() * 6);
+    for is_fir in [true, false] {
         for &i in &indices {
-            for method in [Method::PsdMethod, Method::Flat] {
-                jobs.push(JobSpec {
-                    scenario: family_scenario(is_fir, i),
-                    npsd: args.npsd,
-                    rounding: RoundingMode::Truncate,
-                    kind: JobKind::Estimate { method, frac_bits: d },
-                });
-            }
+            let job = |kind| JobSpec {
+                scenario: family_scenario(is_fir, i),
+                npsd: args.npsd,
+                rounding: RoundingMode::Truncate,
+                kind,
+            };
+            jobs.push(job(JobKind::Estimate { method: Method::PsdMethod, frac_bits: d }));
+            jobs.push(job(JobKind::Estimate { method: Method::Flat, frac_bits: d }));
+            jobs.push(job(JobKind::Simulate {
+                frac_bits: d,
+                samples: args.samples,
+                nfft: 256,
+                seed: args.seed,
+                trials: 1,
+            }));
         }
     }
-    let report = engine.run(jobs);
-    if let Some(failure) = report.failures().next() {
-        panic!("engine job {} failed: {:?}", failure.job, failure.error);
-    }
-
-    // Monte-Carlo reference, reusing the engine's cached evaluators (the
-    // lookup is a guaranteed hit — the batch above preprocessed every key).
-    let run_family = |is_fir: bool, results: &[psdacc_engine::JobResult]| {
-        let mut eds = Vec::new();
-        let mut gaps = Vec::new();
-        for (slot, &i) in indices.iter().enumerate() {
-            let psd = &results[2 * slot];
-            let flat = &results[2 * slot + 1];
-            debug_assert_eq!(psd.kind, "psd");
-            debug_assert_eq!(flat.kind, "flat");
-            let evaluator = engine
-                .cache()
-                .get_or_build(&family_scenario(is_fir, i), args.npsd)
-                .expect("cached by the batch");
-            let simulated = evaluator.simulate(&plan, &sim).expect("simulation runs");
-            let psd_power = psd.power.expect("successful job");
-            let flat_power = flat.power.expect("successful job");
-            eds.push(metrics::ed(simulated.power, psd_power));
-            gaps.push(((psd_power - flat_power) / flat_power).abs());
-        }
+    let powers = batch_powers(args, jobs);
+    let family = |powers: &[f64]| {
+        let (eds, gaps): (Vec<f64>, Vec<f64>) = powers
+            .chunks_exact(3)
+            .map(|chunk| {
+                let [psd, flat, simulated] = chunk else { unreachable!("chunks of 3") };
+                (metrics::ed(*simulated, *psd), ((psd - flat) / flat).abs())
+            })
+            .unzip();
         stats(&eds, &gaps)
     };
-    let (fir_results, iir_results) = report.results.split_at(2 * indices.len());
-    let fir = run_family(true, fir_results);
-    let iir = run_family(false, iir_results);
-    (fir, iir)
+    let (fir, iir) = powers.split_at(3 * indices.len());
+    (family(fir), family(iir))
 }
 
 /// Full experiment with table output.
 pub fn run(args: &Args) {
     println!("== Table I: Ed statistics over the filter population ==");
     println!(
-        "(d = 12 fractional bits, truncation, N_PSD = {}, {} sim samples; analytics via psdacc-engine)\n",
-        args.npsd, args.samples
+        "(d = 12 fractional bits, truncation, N_PSD = {}, {} sim samples; {})\n",
+        args.npsd,
+        args.samples,
+        backend_label(args)
     );
     let stride = if args.full { 1 } else { 3 };
     if stride != 1 {

@@ -1,23 +1,24 @@
 //! **Table II**: the proposed PSD method (at its best and worst `N_PSD`)
 //! versus the PSD-agnostic method, on two composite benchmark systems.
 //!
-//! Ported to run as **one engine batch** (the ROADMAP multi-core parity
-//! item): for each system the Monte-Carlo reference (`Simulate`), the
-//! coarse- and fine-grid PSD estimates, and the PSD-agnostic estimate are
-//! all jobs on the work-stealing pool, sharing one preprocessing pass per
-//! `(scenario, npsd)` key. The systems are the registry scenarios
-//! `freq-filter` (the Fig. 2 band-pass chain) and `dwt-decimated`
-//! (the true multirate CDF 9/7 codec — the decimated filter bank the
-//! paper's Table II DWT row targets, evaluated through the fold/image
-//! kernels of `psdacc_sfg::multirate`). The frequency-domain FFT-stage
-//! machine variant of the Fig. 2 system keeps its own model in
-//! `psdacc_systems::freq_filter` (exercised by `tests/benchmark_systems`
-//! and the `fig4` experiment).
+//! Runs as **one engine batch** through [`batch_powers`]: for each system the
+//! Monte-Carlo reference (`Simulate`), the coarse- and fine-grid PSD
+//! estimates, and the PSD-agnostic estimate are all jobs on the work-stealing
+//! pool, sharing one preprocessing pass per `(scenario, npsd)` key. With
+//! `--daemons` the batch dispatches through the `psdacc-sched` coordinator
+//! across a daemon fleet. The systems are the registry scenarios
+//! `freq-filter` (the Fig. 2 band-pass chain) and `dwt-decimated` (the true
+//! multirate CDF 9/7 codec — the decimated filter bank the paper's Table II
+//! DWT row targets, evaluated through the fold/image kernels of
+//! `psdacc_sfg::multirate`). The frequency-domain FFT-stage machine variant
+//! of the Fig. 2 system keeps its own model in `psdacc_systems::freq_filter`
+//! (exercised by `tests/benchmark_systems` and the `fig4` experiment).
 
 use psdacc_core::Method;
-use psdacc_engine::{Engine, JobKind, JobResult, JobSpec, Scenario};
+use psdacc_engine::{JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 
+use crate::fleet::{backend_label, batch_powers};
 use crate::harness::{pct, Args, Table};
 
 /// Coarse grid of the paper's Table II (worst case for long cascades).
@@ -66,17 +67,17 @@ fn system_jobs(scenario: &Scenario, args: &Args, d: i32, rounding: RoundingMode)
     ]
 }
 
-fn extract(results: &[JobResult]) -> SystemComparison {
-    let power = |r: &JobResult| r.require_power().expect("table2 job succeeded");
-    let measured = power(&results[0]);
+fn extract(powers: &[f64]) -> SystemComparison {
+    let [measured, coarse, fine, agnostic] = powers else { unreachable!("4 jobs per system") };
     SystemComparison {
-        ed_psd_coarse: (power(&results[1]) - measured) / measured,
-        ed_psd_fine: (power(&results[2]) - measured) / measured,
-        ed_agnostic: (power(&results[3]) - measured) / measured,
+        ed_psd_coarse: (coarse - measured) / measured,
+        ed_psd_fine: (fine - measured) / measured,
+        ed_agnostic: (agnostic - measured) / measured,
     }
 }
 
-/// Runs the comparison on both benchmark systems as one engine batch.
+/// Runs the comparison on both benchmark systems as one engine (or fleet)
+/// batch.
 pub fn compare(
     args: &Args,
     d: i32,
@@ -86,13 +87,9 @@ pub fn compare(
     let dwt = Scenario::DwtDecimated { levels: 2 };
     let mut jobs = system_jobs(&freq, args, d, rounding);
     jobs.extend(system_jobs(&dwt, args, d, rounding));
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let report = Engine::new(threads).run(jobs);
-    if let Some(failure) = report.failures().next() {
-        panic!("engine job {} failed: {:?}", failure.job, failure.error);
-    }
-    let (freq_results, dwt_results) = report.results.split_at(4);
-    (extract(freq_results), extract(dwt_results))
+    let powers = batch_powers(args, jobs);
+    let (freq_powers, dwt_powers) = powers.split_at(4);
+    (extract(freq_powers), extract(dwt_powers))
 }
 
 /// Full experiment with table output.
@@ -103,7 +100,7 @@ pub fn run(args: &Args) {
     // uniform word-length as well.
     let rounding = RoundingMode::RoundNearest;
     println!("== Table II: proposed PSD method vs PSD-agnostic (d = {d}, rounding) ==");
-    println!("(engine batch: simulation reference + 3 analytic jobs per system)\n");
+    println!("(simulation reference + 3 analytic jobs per system; {})\n", backend_label(args));
     let (freq, dwt) = compare(args, d, rounding);
     let mut t =
         Table::new(&["", "PSD method (N_PSD=16)", "PSD method (N_PSD=1024)", "PSD-agnostic"]);

@@ -1,13 +1,13 @@
 //! Where experiment batches execute: the local engine, or — with
 //! `--daemons` — a `psdacc-sched` work-stealing fleet.
 //!
-//! Experiments declare their workloads as ordinary engine job lists
-//! (matching the table1/table2 ports); this module routes the list either
-//! through a local [`Engine`] or through [`psdacc_sched::run_fleet`]
-//! across running `psdacc-serve` daemons. Because the coordinator merges
-//! in submission order and every job is deterministic, the two paths
-//! return identical powers — an experiment's numbers do not depend on
-//! where it ran.
+//! Every engine-batch experiment (table1, table2, fig4, fig5) declares its
+//! workload as one ordinary engine job list and hands it to [`batch_powers`],
+//! the only way an experiment runs a batch. This module routes the list
+//! either through a local [`Engine`] or through [`psdacc_sched::run_fleet`]
+//! across running `psdacc-serve` daemons. Because the coordinator merges in
+//! submission order and every job is deterministic, the two paths return
+//! identical powers — an experiment's numbers do not depend on where it ran.
 
 use psdacc_engine::json::{self, Json};
 use psdacc_engine::{Engine, JobSpec};
@@ -40,11 +40,7 @@ pub fn backend_label(args: &Args) -> String {
 
 fn local_powers(jobs: Vec<JobSpec>) -> Vec<f64> {
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let report = Engine::new(threads).run(jobs);
-    if let Some(failure) = report.failures().next() {
-        panic!("engine job {} failed: {:?}", failure.job, failure.error);
-    }
-    report.powers().expect("all jobs report a power")
+    Engine::new(threads).run(jobs).powers().unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn fleet_powers(daemons: &[String], jobs: Vec<JobSpec>) -> Vec<f64> {

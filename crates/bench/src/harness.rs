@@ -42,44 +42,68 @@ impl Default for Args {
     }
 }
 
+/// Whether an experiment binary dispatches engine batches (and so can
+/// honour `--daemons`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch {
+    /// Runs `fleet::batch_powers` batches, locally or on `--daemons`.
+    Batches,
+    /// Runs in-process only; `--daemons` is a usage error.
+    LocalOnly,
+}
+
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("usage error: {msg}");
+    std::process::exit(2)
+}
+
+/// The value following `key`, parsed.
+fn value<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>, key: &str) -> T {
+    let raw = argv.next().unwrap_or_else(|| usage_error(format!("missing value for {key}")));
+    raw.parse().unwrap_or_else(|_| usage_error(format!("{key}: cannot parse {raw:?}")))
+}
+
 impl Args {
-    /// Parses `--key value` style arguments (unknown keys are rejected).
+    /// Parses `--key value` style arguments for a binary that runs as
+    /// `dispatch` says.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed input — appropriate for
-    /// experiment binaries.
-    pub fn parse() -> Self {
+    /// A malformed command line — an unknown key, a missing or unparseable
+    /// value, a `--daemons` list without an address, or `--daemons` under
+    /// [`Dispatch::LocalOnly`] — is a usage error: it is reported on
+    /// stderr and the process exits with status 2 before any work starts.
+    pub fn parse(dispatch: Dispatch) -> Self {
         let mut args = Args::default();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            let take = |args_i: &mut usize| -> String {
-                *args_i += 1;
-                argv.get(*args_i).unwrap_or_else(|| panic!("missing value for {key}")).clone()
-            };
-            match key {
-                "--samples" => args.samples = take(&mut i).parse().expect("--samples: integer"),
-                "--images" => args.images = take(&mut i).parse().expect("--images: integer"),
-                "--size" => args.size = take(&mut i).parse().expect("--size: integer"),
-                "--npsd" => args.npsd = take(&mut i).parse().expect("--npsd: integer"),
-                "--seed" => args.seed = take(&mut i).parse().expect("--seed: integer"),
-                "--out" => args.out = PathBuf::from(take(&mut i)),
+        let mut argv = std::env::args().skip(1);
+        while let Some(key) = argv.next() {
+            match key.as_str() {
+                "--samples" => args.samples = value(&mut argv, &key),
+                "--images" => args.images = value(&mut argv, &key),
+                "--size" => args.size = value(&mut argv, &key),
+                "--npsd" => args.npsd = value(&mut argv, &key),
+                "--seed" => args.seed = value(&mut argv, &key),
+                "--out" => args.out = value(&mut argv, &key),
                 "--full" => args.full = true,
+                "--daemons" if dispatch == Dispatch::LocalOnly => {
+                    usage_error("--daemons: this experiment runs locally, with no engine batch")
+                }
                 "--daemons" => {
-                    args.daemons = take(&mut i)
+                    let list: String = value(&mut argv, &key);
+                    args.daemons = list
                         .split(',')
                         .map(str::trim)
                         .filter(|d| !d.is_empty())
                         .map(String::from)
                         .collect();
+                    if args.daemons.is_empty() {
+                        usage_error(format!("--daemons: no daemon address in {list:?}"));
+                    }
                 }
-                other => panic!(
-                    "unknown argument {other}; known: --samples --images --size --npsd --seed --out --full --daemons"
-                ),
+                other => usage_error(format!(
+                    "unknown argument {other}; known: --samples --images --size --npsd --seed \
+                     --out --full --daemons"
+                )),
             }
-            i += 1;
         }
         if args.full {
             args.samples = 10_000_000;

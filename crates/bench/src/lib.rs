@@ -10,11 +10,15 @@
 //! the paper's 1e6-1e7 sample counts so the full suite runs in minutes, and
 //! `--full` restores paper-scale workloads.
 //!
-//! Engine-batch experiments (table1, table2, fig4, fig5) additionally take
-//! `--daemons HOST:PORT[,...]` to dispatch their batches through the
-//! `psdacc-sched` work-stealing coordinator across running `psdacc-serve`
-//! daemons instead of the local engine ([`fleet`]), with identical numbers
-//! either way.
+//! The engine-batch experiments (`exp_table1`, `exp_table2`, `exp_fig4`,
+//! `exp_fig5`) additionally take `--daemons HOST:PORT[,...]` to dispatch
+//! their batches through the `psdacc-sched` work-stealing coordinator
+//! across running `psdacc-serve` daemons instead of the local engine
+//! ([`fleet`]), with identical numbers either way. The binaries that run
+//! everything in-process (`exp_fig6`, which times `tau_pp` locally;
+//! `exp_fig7`; `exp_ablation`; and `run_all`, which runs fig6 and fig7)
+//! reject `--daemons` with a usage error before doing any work
+//! ([`Dispatch`]).
 
 pub mod compare;
 pub mod experiments;
@@ -29,7 +33,7 @@ pub mod perf;
 pub use psdacc_obs::analyze;
 
 pub use compare::{compare, parse_latest, parse_report, Comparison, ProbeDelta};
-pub use harness::{Args, Table};
+pub use harness::{Args, Dispatch, Table};
 pub use perf::{
     run_baseline, run_baseline_profiled, BenchMeta, BenchReport, BenchResult, SCHEMA_VERSION,
 };

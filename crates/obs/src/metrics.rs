@@ -19,10 +19,12 @@
 //! observations in `[2^i, 2^(i+1))` ns (bucket 0 also absorbs 0–1 ns, the
 //! last bucket absorbs everything from ~39 h up). 48 buckets cover the
 //! whole range this stack sees, from sub-µs per-verb latencies to multi-second
-//! preprocessing builds. Derived quantiles use the **bucket-upper-bound
-//! convention**: `quantile(q)` returns the upper bound `2^(i+1)` of the
-//! bucket holding the `ceil(q·count)`-th observation — a conservative
-//! overestimate by at most 2×, and stable under merging.
+//! preprocessing builds. Each histogram also keeps its exact observed
+//! `min_ns` and `max_ns`. Derived quantiles use **sub-bucket
+//! interpolation**: the `ceil(q·count)`-th observation is placed linearly
+//! inside the bucket that holds it, and the result is clamped to the
+//! observed `[min_ns, max_ns]`, so a rendered percentile never lies
+//! outside what was measured.
 //!
 //! All cells are relaxed atomics: writers are hot paths, readers are
 //! `stats`/`metrics` verbs, and eventual consistency is all either needs.
@@ -168,38 +170,14 @@ impl Histogram {
 }
 
 impl HistogramSnapshot {
-    /// The `q`-quantile (0 < q ≤ 1) in nanoseconds, by the bucket-
-    /// upper-bound convention; `None` for an empty histogram.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(upper_bound_ns(i));
-            }
-        }
-        Some(upper_bound_ns(NUM_BUCKETS - 1))
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) in nanoseconds with **linear
     /// sub-bucket interpolation**: the rank is placed inside its bucket by
     /// the midpoint convention (`rank - 0.5` of the bucket's occupants),
     /// so repeated measurements resolve below the 2x bucket granularity
     /// instead of snapping to a power of two. Upper-bounded by the
-    /// bucket's upper bound, lower-bounded by its lower bound — it never
-    /// contradicts [`HistogramSnapshot::quantile_ns`] by more than one
-    /// bucket width — and clamped to the observed `[min_ns, max_ns]`, so
-    /// a percentile never lies outside what was measured. `None` for an
-    /// empty histogram.
-    ///
-    /// Use this where resolution matters more than the conservative
-    /// stability of the bucket-upper-bound convention (the bench harness
-    /// compares runs through it); keep `quantile_ns` for merged fleet
-    /// stats where the overestimate guarantee is load-bearing.
+    /// bucket's upper bound, lower-bounded by its lower bound, and
+    /// clamped to the observed `[min_ns, max_ns]`, so a percentile never
+    /// lies outside what was measured. `None` for an empty histogram.
     pub fn quantile_interp_ns(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -479,41 +457,17 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_use_the_bucket_upper_bound() {
-        let h = Histogram::default();
-        for _ in 0..99 {
-            h.record_ns(100); // bucket 6: [64, 128)
-        }
-        h.record_ns(1 << 20); // bucket 20
-        let s = h.snapshot();
-        assert_eq!(s.quantile_ns(0.50), Some(128), "p50 = upper bound of bucket 6");
-        assert_eq!(s.quantile_ns(0.95), Some(128));
-        assert_eq!(s.quantile_ns(0.99), Some(128), "rank 99 of 100 still in bucket 6");
-        assert_eq!(s.quantile_ns(1.0), Some(1 << 21), "max = upper bound of bucket 20");
-        let empty = HistogramSnapshot {
-            buckets: [0; NUM_BUCKETS],
-            count: 0,
-            total_ns: 0,
-            min_ns: 0,
-            max_ns: 0,
-        };
-        assert_eq!(empty.quantile_ns(0.5), None);
-    }
-
-    #[test]
     fn quantile_edge_cases_are_total() {
         let empty = Histogram::default().snapshot();
-        assert_eq!(empty.quantile_ns(0.5), None);
         assert_eq!(empty.quantile_interp_ns(0.5), None);
         assert_eq!((empty.min_ns, empty.max_ns), (0, 0), "empty extremes normalize to 0");
 
-        // A single sample: every quantile names its bucket, q=0 and q=1
-        // clamp to rank 1 instead of panicking or returning nonsense.
+        // A single sample: q=0 and q=1 clamp to rank 1 instead of
+        // panicking or returning nonsense.
         let h = Histogram::default();
         h.record_ns(100); // bucket 6: [64, 128)
         let s = h.snapshot();
         for q in [0.0, 0.5, 1.0] {
-            assert_eq!(s.quantile_ns(q), Some(128), "q={q}");
             // The bucket midpoint (96) lies below the only observation;
             // the [min, max] clamp pins every quantile to the sample.
             assert_eq!(s.quantile_interp_ns(q), Some(100.0), "q={q}");
@@ -553,14 +507,13 @@ mod tests {
     #[test]
     fn interpolated_quantiles_resolve_below_bucket_granularity() {
         // 20 observations in one bucket (the bench-harness shape): the
-        // upper-bound convention collapses every quantile to 131072, the
-        // interpolated one spreads ranks across the observed range.
+        // interpolated quantile spreads ranks across the observed range
+        // instead of collapsing every one onto the bucket bound 131072.
         let h = Histogram::default();
         for i in 0..20 {
             h.record_ns(66_000 + i * 3_000); // bucket 16: [65536, 131072)
         }
         let s = h.snapshot();
-        assert_eq!(s.quantile_ns(0.50), Some(131_072));
         let p50 = s.quantile_interp_ns(0.50).unwrap();
         let p95 = s.quantile_interp_ns(0.95).unwrap();
         assert!(p50 > 65_536.0 && p50 < 131_072.0, "{p50}");
@@ -570,8 +523,7 @@ mod tests {
         // rank 19 interpolates past the largest sample; the clamp holds
         // it at the observed maximum.
         assert_eq!(p95, 123_000.0);
-        // Interpolation stays within one bucket of the conservative answer
-        // and respects bucket 0's zero lower bound.
+        // Interpolation respects bucket 0's zero lower bound.
         let h0 = Histogram::default();
         h0.record_ns(0);
         assert!(h0.snapshot().quantile_interp_ns(0.5).unwrap() >= 0.0);
